@@ -158,28 +158,51 @@ def pair_character(d: Tableau, d_prime: Tableau, n: int) -> Character:
     return result
 
 
+def weight_table(char: Character) -> tuple[int, ...]:
+    """Flatten a character over pair weights a_j - a_{j'} + k x into the tuple
+    (j, j', k, mult, j, j', k, mult, ...), 0-indexed, in sorted weight order
+    (x-only weights read j = j' = 0).  Raises InternalInconsistency on a
+    negative multiplicity or an a-part that is not a coordinate difference."""
+    flat = []
+    for w, mult in sorted(char.terms.items()):
+        a = w.a_coeffs
+        j = a.index(1) if 1 in a else 0
+        j_prime = a.index(-1) if -1 in a else 0
+        if mult < 0:
+            raise InternalInconsistency(f"negative multiplicity {mult} at weight {w}")
+        if sum(map(abs, a)) != 2 * (j != j_prime):
+            raise InternalInconsistency(f"weight {w} is not a pair weight")
+        flat += (j, j_prime, w.x_coeff, mult)
+    return tuple(flat)
+
+
+def table_weights(table: tuple[int, ...], n: int) -> tuple[TorusWeight, ...]:
+    """Expand a flat weight table back into its sorted weight multiset."""
+    it = iter(table)
+    return tuple(w for j, j_prime, k, mult in zip(it, it, it, it)
+                 for w in [pair_weight(j + 1, j_prime + 1, k, n)] * mult)
+
+
 @lru_cache(maxsize=None)
-def _tangent_weights_cached(d: Tableau, n: int) -> tuple[TorusWeight, ...]:
+def tangent_table(d: Tableau, n: int) -> tuple[int, ...]:
+    """Weight table (see weight_table) of the tangent space at the fixed point
+    d.  The diagonal character must be a genuine representation of dimension
+    2 * sum(degree) with no zero weight; anything else means a transcription
+    bug in the block formula and raises InternalInconsistency."""
     char = pair_character(d, d, n)
-    weights = char.weights()
-    expected = 2 * sum(d.degree())
-    if len(weights) != expected:
+    if x_weight(0, n) in char.terms:
+        raise InternalInconsistency(f"zero weight in tangent space of {d}")
+    table = weight_table(char)
+    size, expected = sum(table[3::4]), 2 * sum(d.degree())
+    if size != expected:
         raise InternalInconsistency(
-            f"tangent multiset has size {len(weights)}, expected {expected}")
-    for w in weights:
-        if w.is_zero():
-            raise InternalInconsistency(f"zero weight in tangent space of {d}")
-    return tuple(weights)
+            f"tangent multiset has size {size}, expected {expected}")
+    return table
 
 
 def tangent_weights(d: Tableau, n: int) -> tuple[TorusWeight, ...]:
-    """Weight multiset of the tangent space at the fixed point d.
-
-    The diagonal character must be a genuine representation of dimension
-    2 * sum(degree) with no zero weight; anything else means a transcription
-    bug in the block formula and raises InternalInconsistency.
-    """
-    return _tangent_weights_cached(d, n)
+    """Sorted weight multiset of the tangent space at d, from tangent_table."""
+    return table_weights(tangent_table(d, n), n)
 
 
 def shift_defect(d: Tableau, d_prime: Tableau, m: int, n: int) -> Character:
@@ -198,4 +221,4 @@ def shift_defect(d: Tableau, d_prime: Tableau, m: int, n: int) -> Character:
 
 def clear_caches():
     """Reset memoized tangent data (used by fault-injection tests)."""
-    _tangent_weights_cached.cache_clear()
+    tangent_table.cache_clear()

@@ -76,24 +76,25 @@ def _add_common(sub, trials=True):
                      help="loop-weight gauge (rational, default 1)")
 
 
+def _point(args) -> ParameterPoint:
+    """The point given by --a, --x and --m (m = 0 when absent), or ValueError."""
+    a = tuple(parse_rational(part) for part in args.a.split(","))
+    if len(a) != args.n:
+        raise ValueError(f"--a must have {args.n} entries")
+    if sum(a) != 0:
+        raise ValueError("--a entries must sum to zero")
+    return ParameterPoint(a, args.x, args.m if args.m is not None else Fraction(0))
+
+
 def _explicit_point(args, parser, need_m: bool) -> ParameterPoint | None:
     if args.a is None:
         if args.m is not None:
             parser.error("--m requires --a (otherwise points are sampled)")
         return None
-    try:
-        a = tuple(parse_rational(part) for part in args.a.split(","))
-    except ValueError as exc:
-        parser.error(str(exc))
-    if len(a) != args.n:
-        parser.error(f"--a must have {args.n} entries")
-    if sum(a) != 0:
-        parser.error("--a entries must sum to zero")
-    m = args.m if args.m is not None else Fraction(0)
     if need_m and args.m is None:
         parser.error("verify-main with an explicit point also needs --m")
     try:
-        return ParameterPoint(a, args.x, m)
+        return _point(args)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -156,8 +157,7 @@ def _inspect(args, parser) -> int:
                   "weights": [{"a_coeffs": list(w.a_coeffs), "x_coeff": w.x_coeff}
                               for w in weights]}
         if args.a is not None:
-            pt = ParameterPoint(tuple(parse_rational(s) for s in args.a.split(",")),
-                                args.x, args.m)
+            pt = _point(args)
             record["values"] = [format_rational(evaluate_weight(w, pt)) for w in weights]
         _emit(record)
         return EXIT_PASS
@@ -181,16 +181,13 @@ def _inspect(args, parser) -> int:
     else:
         if args.a is None:
             parser.error("inspect series needs --a")
-        a = tuple(parse_rational(s) for s in args.a.split(","))
-        if sum(a) != 0:
-            parser.error("--a entries must sum to zero")
-        a_over_x = tuple(ai / args.x for ai in a)
+        pt = _point(args)
         if args.kind == "cs":
-            series = cs_coefficients(n, a_over_x, args.m, args.max_degree).tail
+            series = cs_coefficients(n, pt.a_over_x(), pt.m, args.max_degree).tail
         elif args.kind == "toda":
-            series = toda_coefficients(n, a_over_x, args.max_degree, x=args.x).tail
+            series = toda_coefficients(n, pt.a_over_x(), args.max_degree, x=pt.x).tail
         else:
-            series = cs_product_series(n, a_over_x, args.m, args.max_degree)
+            series = cs_product_series(n, pt.a_over_x(), pt.m, args.max_degree)
     _emit({"subject": "series", "kind": args.kind, "n": n,
            "max_degree": args.max_degree,
            "coefficients": [{"gamma": format_gamma(g), "value": format_rational(c)}
@@ -201,10 +198,17 @@ def _inspect(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, value, low in (("--n", args.n, 2), ("--max-degree", args.max_degree, 0),
+                             ("--trials", getattr(args, "trials", 1), 1)):
+        if value < low:
+            parser.error(f"{flag} must be at least {low}, got {value}")
 
     try:
         if args.command == "inspect":
-            return _inspect(args, parser)
+            try:
+                return _inspect(args, parser)
+            except ValueError as exc:  # a malformed --gamma, --tableau or --a
+                parser.error(str(exc))
 
         if args.command == "verify-main":
             pt = _explicit_point(args, parser, need_m=True)

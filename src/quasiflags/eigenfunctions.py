@@ -40,6 +40,19 @@ class EigenSeries:
         return self.tail.coefficient(gamma)
 
 
+def _root_walk(gamma, supports, coefficient) -> Fraction:
+    """Sum of j * coefficient(gamma - j alpha) over positive roots alpha, j >= 1, in the cone."""
+    acc = Fraction(0)
+    for sup in supports:
+        j = 1
+        target = tuple(g - s for g, s in zip(gamma, sup))
+        while all(t >= 0 for t in target):
+            acc += j * coefficient(target)
+            j += 1
+            target = tuple(t - s for t, s in zip(target, sup))
+    return acc
+
+
 def _eigen_recursion(n, a_over_x, degree, source_terms):
     """Shared driver: fill coefficients in increasing total degree.
 
@@ -75,15 +88,7 @@ def cs_coefficients(n: int, a_over_x, m, degree: int) -> EigenSeries:
     def source_terms(gamma, coeffs):
         if coupling == 0:
             return Fraction(0)
-        acc = Fraction(0)
-        for sup in supports:
-            j = 1
-            target = tuple(g - j * s for g, s in zip(gamma, sup))
-            while all(t >= 0 for t in target):
-                acc += j * coeffs[target]
-                j += 1
-                target = tuple(g - s for g, s in zip(target, sup))
-        return coupling * acc
+        return coupling * _root_walk(gamma, supports, coeffs.__getitem__)
 
     return _eigen_recursion(n, a_over_x, degree, source_terms)
 
@@ -134,15 +139,7 @@ def apply_cs_operator(series: EigenSeries, m, degree: int) -> Series:
         lam = tuple(l + g for l, g in zip(series.base, embed_degree(gamma, n)))
         value = inner(lam, lam) * series.coefficient(gamma)
         if coupling != 0:
-            acc = Fraction(0)
-            for sup in supports:
-                j = 1
-                target = tuple(g - s for g, s in zip(gamma, sup))
-                while all(t >= 0 for t in target):
-                    acc += j * series.coefficient(target)
-                    j += 1
-                    target = tuple(t - s for t, s in zip(target, sup))
-            value -= coupling * acc
+            value -= coupling * _root_walk(gamma, supports, series.coefficient)
         out[gamma] = value
     return Series(series.rank, min(degree, series.tail.truncation), out)
 

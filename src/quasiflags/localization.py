@@ -2,19 +2,22 @@
 
 Every integral in the package reduces, by the fixed-point formula, to a sum
 over tableaux of products of linear forms in (a_1, ..., a_n, x) evaluated at
-an exact rational parameter point.  Products are evaluated factor by factor;
-nothing is ever expanded into polynomials.  A vanishing tangent-weight value
-makes the localization denominator collapse, which is reported as
+an exact rational parameter point, all through one kernel, weight_ratio.
+Scaled by the lcm L of the denominators of a/x and m, each weight becomes an
+integer, so a fixed point's product of weights costs one Fraction; nothing is
+expanded into polynomials.  A vanishing denominator weight is reported as
 NonGenericParameter so the caller can resample the point.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .characters import TorusWeight, pair_character, tangent_weights
+from .characters import (TorusWeight, pair_character, table_weights,
+                         tangent_table, weight_table)
 from .errors import NonGenericParameter
 from .roots import check_zero_sum
-from .series import check_degree_vector
 from .tableaux import Tableau, enumerate_fixed_points
 
 
@@ -52,6 +55,14 @@ class ParameterPoint:
     def with_m(self, m) -> "ParameterPoint":
         return ParameterPoint(self.a, self.x, Fraction(m))
 
+    @cached_property
+    def integer_scaling(self) -> tuple[tuple[int, ...], int, int]:
+        """(U, L, M) with L the lcm of the denominators of a/x and m, U = L a/x
+        and M = L m: a_j - a_{j'} + k x + m x is (x/L) (U_j - U_{j'} + k L + M)."""
+        u = self.a_over_x()
+        scale = math.lcm(self.m.denominator, *(c.denominator for c in u))
+        return tuple(int(c * scale) for c in u), scale, int(self.m * scale)
+
 
 def evaluate_weight(w: TorusWeight, pt: ParameterPoint) -> Fraction:
     """Value sum c_i a_i + c_x x of a torus weight at the point."""
@@ -62,43 +73,57 @@ def evaluate_weight(w: TorusWeight, pt: ParameterPoint) -> Fraction:
     return total
 
 
+def _products(table: tuple[int, ...], pt: ParameterPoint) -> tuple[int, int, int]:
+    """(prod (V + M)^mult, prod V^mult, sum mult) over a flat weight table,
+    where V = U_j - U_{j'} + k L is L/x times the weight value."""
+    u, scale, shift = pt.integer_scaling
+    shifted = plain = 1
+    dim = 0
+    it = iter(table)
+    for j, j_prime, k, mult in zip(it, it, it, it):
+        value = u[j] - u[j_prime] + k * scale
+        shifted *= (value + shift) ** mult
+        plain *= value ** mult
+        dim += mult
+    return shifted, plain, dim
+
+
+def weight_ratio(numerator: tuple[int, ...], denominator: tuple[int, ...],
+                 pt: ParameterPoint) -> Fraction:
+    """prod over the numerator table of (w + m x)^mult divided by the product
+    over the denominator table of w^mult (flat tables as built by
+    characters.weight_table).  Raises NonGenericParameter, naming the weight,
+    when a denominator weight vanishes."""
+    shifted, plain, dim = _products(denominator, pt)
+    if plain == 0:
+        w = next(w for w in table_weights(denominator, pt.n) if evaluate_weight(w, pt) == 0)
+        raise NonGenericParameter(f"weight {w} vanishes at {pt}")
+    if numerator is denominator:
+        return Fraction(shifted, plain)
+    shifted, _, top_dim = _products(numerator, pt)
+    # each weight is (x/L) V, which leaves (x/L)^(top_dim - dim) over
+    return Fraction(shifted, plain) * (pt.x / pt.integer_scaling[1]) ** (top_dim - dim)
+
+
 def chern_ratio(d: Tableau, pt: ParameterPoint) -> Fraction:
     """prod over tangent weights w at d of (w + m x) / w."""
-    mx = pt.m * pt.x
-    result = Fraction(1)
-    for w in tangent_weights(d, pt.n):
-        value = evaluate_weight(w, pt)
-        if value == 0:
-            raise NonGenericParameter(f"tangent weight {w} vanishes at {pt}")
-        result *= (value + mx) / value
-    return result
+    table = tangent_table(d, pt.n)
+    return weight_ratio(table, table, pt)
 
 
 def chern_series_coefficient(n: int, gamma, pt: ParameterPoint) -> Fraction:
     """Coefficient at gamma of the generating series of Chern-polynomial
     integrals: sum over fixed points of degree gamma of chern_ratio."""
-    gamma = check_degree_vector(gamma, n - 1)
-    total = Fraction(0)
-    for d in enumerate_fixed_points(n, gamma):
-        total += chern_ratio(d, pt)
-    return total
+    return sum((chern_ratio(d, pt) for d in enumerate_fixed_points(n, gamma)),
+               Fraction(0))
 
 
 def volume_coefficient(n: int, gamma, pt: ParameterPoint) -> Fraction:
     """Coefficient at gamma of the equivariant-volume series: sum over fixed
     points of prod 1/w.  This is the termwise m -> infinity limit of the Chern
     series after dividing by m^(dim)."""
-    gamma = check_degree_vector(gamma, n - 1)
-    total = Fraction(0)
-    for d in enumerate_fixed_points(n, gamma):
-        term = Fraction(1)
-        for w in tangent_weights(d, n):
-            value = evaluate_weight(w, pt)
-            if value == 0:
-                raise NonGenericParameter(f"tangent weight {w} vanishes at {pt}")
-            term /= value
-        total += term
-    return total
+    return sum((weight_ratio((), tangent_table(d, n), pt)
+                for d in enumerate_fixed_points(n, gamma)), Fraction(0))
 
 
 def chern_matrix_element(d_prime: Tableau, d: Tableau, pt: ParameterPoint) -> Fraction:
@@ -111,14 +136,5 @@ def chern_matrix_element(d_prime: Tableau, d: Tableau, pt: ParameterPoint) -> Fr
     chern_ratio.
     """
     n = pt.n
-    mx = pt.m * pt.x
-    numerator = Fraction(1)
-    for w in pair_character(d_prime, d, n).weights():
-        numerator *= evaluate_weight(w, pt) + mx
-    denominator = Fraction(1)
-    for w in tangent_weights(d_prime, n):
-        value = evaluate_weight(w, pt)
-        if value == 0:
-            raise NonGenericParameter(f"tangent weight {w} vanishes at {pt}")
-        denominator *= value
-    return numerator / denominator
+    return weight_ratio(weight_table(pair_character(d_prime, d, n)),
+                        tangent_table(d_prime, n), pt)

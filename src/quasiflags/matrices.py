@@ -1,8 +1,8 @@
 """Small exact matrices over the rationals.
 
 Just enough dense linear algebra for the unipotent-group and conjugation
-identities: products, commutators, exponentials of nilpotents, and Gaussian
-inversion, all over Fraction.
+identities: products, commutators and exponentials of nilpotents, all over
+Fraction.
 """
 
 from fractions import Fraction
@@ -69,9 +69,6 @@ class Matrix:
         vector = [Fraction(v) for v in vector]
         return [sum(a * v for a, v in zip(row, vector)) for row in self.rows]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
-
     def commutator(self, other: "Matrix") -> "Matrix":
         return self * other - other * self
 
@@ -93,23 +90,6 @@ class Matrix:
         else:
             raise ValueError("matrix is not nilpotent")
         return result
-
-    def inverse(self) -> "Matrix":
-        n = self.size
-        work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = Fraction(1) / work[col][col]
-            work[col] = [e * inv for e in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return Matrix([row[n:] for row in work])
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows

@@ -11,7 +11,8 @@ byte-reproducible from its seed and flags alone.
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .characters import pair_character, tangent_weights
+from .characters import (pair_character, shift_defect, tangent_weights,
+                         weight_table)
 from .errors import InternalInconsistency, NonGenericParameter, ResonantParameter
 from .eigenfunctions import (apply_cs_operator, cs_coefficients,
                              cs_product_series, toda_coefficients,
@@ -20,8 +21,8 @@ from .hall import (QuiverRepClass, all_ones_unitriangular, check_product_identit
                    conjugator_check, hall_count, indecomposable_matrix,
                    root_exponential_product, unipotent_product)
 from .localization import (ParameterPoint, chern_matrix_element,
-                           chern_series_coefficient, evaluate_weight,
-                           volume_coefficient)
+                           chern_series_coefficient, volume_coefficient,
+                           weight_ratio)
 from .matrices import Matrix
 from .roots import (embed_degree, kostant_count, pairing,
                     positive_root_pairs_descending, rho_vee)
@@ -50,9 +51,11 @@ def _point_record(pt: ParameterPoint) -> dict:
     }
 
 
-def _run_trials(rng, n, trials, explicit_point, compute, sample_m=True):
+def _run_trials(command, n, max_degree, trials, seed, explicit_point, compute,
+                sample_m):
     """Sample points (or reuse the explicit one), retrying on non-generic or
-    resonant draws; returns a list of per-trial dicts produced by compute."""
+    resonant draws; returns the report over the per-trial dicts of compute."""
+    rng = SplitMix64(seed)
     out = []
     for trial in range(trials):
         resamples = 0
@@ -79,7 +82,15 @@ def _run_trials(rng, n, trials, explicit_point, compute, sample_m=True):
         out.append(result)
         if explicit_point is not None:
             break
-    return out
+    return {
+        "command": command,
+        "parameters": {"n": n, "max_degree": max_degree, "trials": trials,
+                       "seed": seed,
+                       "explicit_point": (_point_record(explicit_point)
+                                          if explicit_point else None)},
+        "trials": out,
+        "verdict": "pass" if all(t["all_equal"] for t in out) else "fail",
+    }
 
 
 def _compare_table(gammas, lhs_values, rhs_values):
@@ -109,7 +120,6 @@ def verify_main(n: int, max_degree: int, trials: int, seed: int,
                 explicit_point: ParameterPoint | None = None, jobs: int = 1) -> dict:
     """Compare the localization series against the eigenfunction product,
     coefficient by coefficient, at sampled (or given) parameter points."""
-    rng = SplitMix64(seed)
     gammas = list(degree_vectors(n - 1, max_degree))
 
     def compute(pt: ParameterPoint) -> dict:
@@ -121,17 +131,8 @@ def verify_main(n: int, max_degree: int, trials: int, seed: int,
                 "all_equal": first_mismatch is None,
                 "first_mismatch": first_mismatch}
 
-    trial_records = _run_trials(rng, n, trials, explicit_point, compute, sample_m=True)
-    verdict = "pass" if all(t["all_equal"] for t in trial_records) else "fail"
-    return {
-        "command": "verify-main",
-        "parameters": {"n": n, "max_degree": max_degree, "trials": trials,
-                       "seed": seed,
-                       "explicit_point": (_point_record(explicit_point)
-                                          if explicit_point else None)},
-        "trials": trial_records,
-        "verdict": verdict,
-    }
+    return _run_trials("verify-main", n, max_degree, trials, seed, explicit_point,
+                       compute, sample_m=True)
 
 
 TODA_DIAGNOSTIC_COUPLINGS = (100, 10_000, 1_000_000)
@@ -141,7 +142,6 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
                 explicit_point: ParameterPoint | None = None, jobs: int = 1) -> dict:
     """Compare equivariant volumes against the Toda eigenfunction tail, and
     check that the rescaled strong-coupling coefficients converge to it."""
-    rng = SplitMix64(seed)
     gammas = list(degree_vectors(n - 1, max_degree))
     diag_gammas = [g for g in gammas if 1 <= total_degree(g) <= min(max_degree, 2)]
 
@@ -154,14 +154,18 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
         gauge_toda = (toda if pt.x == 1
                       else toda_coefficients(n, a_over_x, min(max_degree, 2)))
         diagnostics = []
+        # the error only shrinks monotonically once m dominates the spread of
+        # a/x, so the couplings are scaled by (1 + max a/x - min a/x)^2
+        spread = (1 + max(a_over_x) - min(a_over_x)) ** 2
+        couplings = [m * spread for m in TODA_DIAGNOSTIC_COUPLINGS]
         for gamma in diag_gammas:
-            ratios = toda_limit_ratios(n, gamma, a_over_x, TODA_DIAGNOSTIC_COUPLINGS)
+            ratios = toda_limit_ratios(n, gamma, a_over_x, couplings)
             target = gauge_toda.coefficient(gamma)
             errors = [abs(r - target) for r in ratios]
             decreasing = all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
             diagnostics.append({
                 "gamma": format_gamma(gamma),
-                "couplings": [str(m) for m in TODA_DIAGNOSTIC_COUPLINGS],
+                "couplings": [format_rational(m) for m in couplings],
                 "ratios": [format_rational(r) for r in ratios],
                 "target": format_rational(target),
                 "errors_strictly_decreasing": decreasing,
@@ -171,17 +175,8 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
         return {"comparisons": comparisons, "limit_diagnostics": diagnostics,
                 "all_equal": ok, "first_mismatch": first_mismatch}
 
-    trial_records = _run_trials(rng, n, trials, explicit_point, compute, sample_m=False)
-    verdict = "pass" if all(t["all_equal"] for t in trial_records) else "fail"
-    return {
-        "command": "verify-toda",
-        "parameters": {"n": n, "max_degree": max_degree, "trials": trials,
-                       "seed": seed,
-                       "explicit_point": (_point_record(explicit_point)
-                                          if explicit_point else None)},
-        "trials": trial_records,
-        "verdict": verdict,
-    }
+    return _run_trials("verify-toda", n, max_degree, trials, seed, explicit_point,
+                       compute, sample_m=False)
 
 
 # -- property suites ----------------------------------------------------------
@@ -241,13 +236,11 @@ def _character_record(n, max_degree) -> dict:
                 if total != expected:
                     witnesses.append(f"n={nn} rank {total} != {expected} at "
                                      f"({d.as_flat_list()}, {dp.as_flat_list()})")
-                if any(m < 0 for m in char.terms.values()):
-                    witnesses.append(f"n={nn} negative multiplicity at "
-                                     f"({d.as_flat_list()}, {dp.as_flat_list()})")
-                bad_a = [w for w in char.terms
-                         if sorted(w.a_coeffs) not in ([0] * nn, [-1] + [0] * (nn - 2) + [1])]
-                if bad_a:
-                    witnesses.append(f"n={nn} non-difference a-part {bad_a[0]}")
+                try:  # rejects negative multiplicities and non-difference a-parts
+                    weight_table(char)
+                except InternalInconsistency as exc:
+                    witnesses.append(f"n={nn} at ({d.as_flat_list()}, "
+                                     f"{dp.as_flat_list()}): {exc}")
         for d in tabs:
             try:
                 tangent_weights(d, nn)  # raises on zero weight or bad size
@@ -268,12 +261,10 @@ def _shift_defect_record(n) -> dict:
         for m in (1, 2, 3):
             distinct = set()
             for d, dp in sample_pairs:
-                defect = (pair_character(dp, d, nn).shift_x(m)
-                          - pair_character(dp, d.shift(m), nn))
+                defect = shift_defect(d, dp, m, nn)
                 distinct.add(tuple(defect.as_sorted_triples()))
             zero = Tableau.zero(nn)
-            baseline = (pair_character(zero, zero, nn).shift_x(m)
-                        - pair_character(zero, zero.shift(m), nn))
+            baseline = shift_defect(zero, zero, m, nn)
             if len(distinct) != 1:
                 witnesses.append(f"n={nn} m={m}: {len(distinct)} distinct defects")
             elif tuple(baseline.as_sorted_triples()) not in distinct:
@@ -288,15 +279,10 @@ def twist_constant(n: int, m: int, pt: ParameterPoint) -> Fraction:
     the zero pair.  Raises NonGenericParameter when a defect weight vanishes
     (these are the poles of y)."""
     zero = Tableau.zero(n)
-    defect = (pair_character(zero, zero, n).shift_x(m)
-              - pair_character(zero, zero.shift(m), n))
-    y = Fraction(1)
-    for w, mult in sorted(defect.terms.items()):
-        value = evaluate_weight(w, pt)
-        if value == 0:
-            raise NonGenericParameter(f"defect weight {w} vanishes at {pt}")
-        y *= value ** mult
-    return y
+    # the zero pair's own pair character is empty, so its defect is minus a
+    # genuine character (weight_table rejects anything else)
+    poles = shift_defect(zero, zero, m, n).negate()
+    return weight_ratio((), weight_table(poles), pt)
 
 
 def _twist_ratio_record(n, rng) -> dict:
@@ -447,22 +433,16 @@ def _nongeneric_surface_record(n) -> dict:
 def _cartan_record(n, rng) -> dict:
     witnesses = []
     from .roots import rho as rho_weight
-    for _ in range(RETRY_BUDGET):
-        a = sample_zero_sum_integers(rng, n)
-        pt = ParameterPoint(a, Fraction(1), Fraction(0))
-        try:
-            for gamma in degree_vectors(n - 1, 3):
-                for d in enumerate_fixed_points(n, gamma):
-                    lam = tuple(ai / pt.x - r + g for ai, r, g in
-                                zip(pt.a, rho_weight(n), embed_degree(gamma, n)))
-                    for i in range(1, n):
-                        direct = cartan_eigenvalue(i, d, pt)
-                        via_pairing = lam[i - 1] - lam[i]
-                        if direct != via_pairing:
-                            witnesses.append(f"i={i} gamma={format_gamma(gamma)}")
-            break
-        except NonGenericParameter:
-            continue
+    pt = ParameterPoint(sample_zero_sum_integers(rng, n), Fraction(1), Fraction(0))
+    for gamma in degree_vectors(n - 1, 3):
+        for d in enumerate_fixed_points(n, gamma):
+            lam = tuple(ai / pt.x - r + g for ai, r, g in
+                        zip(pt.a, rho_weight(n), embed_degree(gamma, n)))
+            for i in range(1, n):
+                direct = cartan_eigenvalue(i, d, pt)
+                via_pairing = lam[i - 1] - lam[i]
+                if direct != via_pairing:
+                    witnesses.append(f"i={i} gamma={format_gamma(gamma)}")
     return _record("Cartan eigenvalues agree with the weight-pairing form",
                    f"n={n}, |gamma|<=3", not witnesses, witnesses)
 

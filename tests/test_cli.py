@@ -110,3 +110,23 @@ def test_inspect_series_denominator(capsys):
     report = json.loads(out)
     values = {c["gamma"]: c["value"] for c in report["coefficients"]}
     assert values == {"0": "1", "1": "3", "2": "6", "3": "10"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["inspect", "tangent-weights", "--n", "2", "--tableau", "1", "--a", "1,2"],
+    ["inspect", "fixed-points", "--n", "3", "--gamma", "1"],
+    ["inspect", "character", "--n", "2", "--tableau", "1", "--tableau2", "-1"],
+    ["inspect", "series", "--n", "2", "--a", "1,-1", "--x", "0"],
+    ["verify-main", "--n", "1"],
+    ["verify-main", "--max-degree", "-1"],
+    ["verify-toda", "--trials", "0"],
+    ["properties", "--n", "1"],
+])
+def test_usage_errors_exit_3_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 3
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith("error: ")

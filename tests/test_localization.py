@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quasiflags.characters import TorusWeight
+from quasiflags.characters import TorusWeight, pair_character, tangent_weights
 from quasiflags.errors import NonGenericParameter
 from quasiflags.localization import (ParameterPoint, chern_matrix_element,
                                      chern_ratio, chern_series_coefficient,
@@ -138,3 +139,70 @@ def test_twist_identity_all_pairs():
                     if bottom != 0:
                         ratios.add(top / bottom)
             assert ratios == {y}
+
+
+# -- differential test of the integer-scaled kernel ---------------------------
+
+def reference_product(numerator, denominator, pt):
+    """The per-weight Fraction loop: prod (w + m x) over numerator weights
+    divided by prod w over denominator weights."""
+    result = Fraction(1)
+    for w in numerator:
+        result *= evaluate_weight(w, pt) + pt.m * pt.x
+    for w in denominator:
+        value = evaluate_weight(w, pt)
+        if value == 0:
+            raise NonGenericParameter(f"tangent weight {w} vanishes at {pt}")
+        result /= value
+    return result
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonGenericParameter:
+        return "non-generic"
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+@st.composite
+def points(draw, n):
+    """Zero-sum points with a/x on a coarse rational grid, so that integer
+    differences (degenerate points) come up often."""
+    u = [draw(small_rationals) for _ in range(n - 1)]
+    u.append(-sum(u))
+    x = draw(small_rationals.filter(lambda v: v != 0))
+    m = draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    return ParameterPoint(tuple(c * x for c in u), x, m)
+
+
+@st.composite
+def fixed_points(draw, n):
+    gamma = tuple(draw(st.integers(0, 3)) for _ in range(n - 1))
+    return draw(st.sampled_from(enumerate_fixed_points(n, gamma)))
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(2, 4))
+    return n, draw(fixed_points(n)), draw(fixed_points(n)), draw(points(n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+def test_kernel_matches_per_weight_reference(case):
+    n, d_prime, d, pt = case
+    gamma = d.degree()
+
+    def reference_sum(chern):
+        return sum(reference_product(tangent_weights(t, n) if chern else (),
+                                     tangent_weights(t, n), pt)
+                   for t in enumerate_fixed_points(n, gamma))
+
+    assert outcome(chern_series_coefficient, n, gamma, pt) == outcome(reference_sum, True)
+    assert outcome(volume_coefficient, n, gamma, pt) == outcome(reference_sum, False)
+    pair = pair_character(d_prime, d, n).weights()
+    assert outcome(chern_matrix_element, d_prime, d, pt) == outcome(
+        reference_product, pair, tangent_weights(d_prime, n), pt)

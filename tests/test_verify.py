@@ -85,3 +85,15 @@ def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch):
 def test_fault_free_after_cache_reset():
     report = verify_main(2, 4, trials=1, seed=5)
     assert report["verdict"] == "pass"
+
+
+def test_toda_diagnostic_couplings_scale_with_the_point():
+    # seed 2002 draws a = (26, 50, -50, -26); with a_2 - a_3 = 100 the error
+    # curve at the fixed couplings 100, 1e4, 1e6 turns near m = 100
+    report = verify_toda(4, 2, trials=1, seed=2002)
+    trial = report["trials"][0]
+    assert trial["point"]["a"] == ["26", "50", "-50", "-26"]
+    assert report["verdict"] == "pass"
+    for diag in trial["limit_diagnostics"]:
+        assert diag["couplings"] == ["1020100", "102010000", "10201000000"]
+        assert diag["errors_strictly_decreasing"]
