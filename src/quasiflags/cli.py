@@ -66,8 +66,8 @@ def _add_common(sub, trials=True):
     sub.add_argument("--seed", type=int, default=1,
                      help="64-bit seed for the splitmix64 sampling stream")
     sub.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for per-degree evaluation (results "
-                          "are independent of this)")
+                     help="accepted and ignored, kept for compatibility "
+                          "(degrees are evaluated serially)")
     sub.add_argument("--a", type=str, default=None,
                      help="explicit zero-sum torus point, comma-separated rationals")
     sub.add_argument("--m", type=_parse_rational_arg, default=None,

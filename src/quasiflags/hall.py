@@ -138,7 +138,7 @@ def _apply_mod(matrix, vec, q: int):
     return tuple(sum(m * v for m, v in zip(row, vec)) % q for row in matrix)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # dim <= MAX_AMBIENT_DIM, q in SUPPORTED_FIELD_SIZES: 10 keys
 def _all_subspaces(dim: int, q: int):
     """Every subspace of F_q^dim, each as a frozenset of all its vectors."""
     zero = (0,) * dim

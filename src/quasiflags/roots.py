@@ -99,7 +99,7 @@ def pairing(coweight, weight) -> Fraction:
     return inner(coweight, weight)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # one key per degree: 792 at n=6 D=7 and n=8 D=5
 def _kostant_cached(n: int, gamma: DegreeVector) -> int:
     supports = positive_root_supports(n)
 

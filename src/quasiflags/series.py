@@ -131,22 +131,28 @@ class Series:
 
 
 def series_mul(a: Series, b: Series, degree: int) -> Series:
-    """Cauchy product truncated at total degree `degree`."""
+    """Cauchy product truncated at total degree `degree`.  The terms of b are
+    bucketed by total degree, and a term of a of degree da walks only the
+    buckets of degree <= degree - da: exactly the contributing pairs."""
     if a.rank != b.rank:
         raise ValueError("rank mismatch in series multiplication")
     if degree > min(a.truncation, b.truncation):
         raise ValueError("requested degree exceeds operand truncation")
+    buckets = [[] for _ in range(degree + 1)]
+    for gb, cb in b.coeffs.items():
+        db = total_degree(gb)
+        if db <= degree:
+            buckets[db].append((gb, cb))
     out: dict[DegreeVector, Fraction] = {}
     for ga, ca in a.coeffs.items():
         da = total_degree(ga)
         if da > degree:
             continue
-        for gb, cb in b.coeffs.items():
-            if da + total_degree(gb) > degree:
-                continue
-            key = tuple(x + y for x, y in zip(ga, gb))
-            prev = out.get(key)
-            out[key] = ca * cb if prev is None else prev + ca * cb
+        for bucket in buckets[:degree - da + 1]:
+            for gb, cb in bucket:
+                key = tuple(x + y for x, y in zip(ga, gb))
+                prev = out.get(key)
+                out[key] = ca * cb if prev is None else prev + ca * cb
     return Series(a.rank, degree, out)
 
 

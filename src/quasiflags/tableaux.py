@@ -9,6 +9,7 @@ recover the degree vector of the component the point sits on.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from .series import DegreeVector, check_degree_vector, compositions
@@ -95,12 +96,16 @@ def enumerate_fixed_points(n: int, gamma) -> list[Tableau]:
     """All tableaux of degree gamma, in lexicographic (row-major) order.
 
     Recursion runs over rows from the longest (j = n-1) upward: row j is a
-    composition of d_j into j parts bounded below entrywise by row j+1.
+    composition of d_j into j parts bounded below entrywise by row j+1.  Each
+    (n, gamma) is enumerated once and cached; every call returns a fresh list.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    gamma = check_degree_vector(gamma, n - 1)
+    return list(_fixed_points(n, check_degree_vector(gamma, n - 1)))
 
+
+@lru_cache(maxsize=1024)  # one key per degree: 792 at n=6 D=7 and n=8 D=5
+def _fixed_points(n: int, gamma: DegreeVector) -> tuple[Tableau, ...]:
     def build(j: int, lower: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
         # lower = first j entries of row j+1 (all zero when j = n-1)
         if j == 0:
@@ -118,7 +123,7 @@ def enumerate_fixed_points(n: int, gamma) -> list[Tableau]:
 
     found = [Tableau(rows) for rows in build(n - 1, (0,) * (n - 1))]
     found.sort(key=lambda t: t.as_flat_list())
-    return found
+    return tuple(found)
 
 
 def cartan_eigenvalue(i: int, tableau: Tableau, pt) -> Fraction:

@@ -8,7 +8,6 @@ all scalars as exact rational strings, so a run is replayable and
 byte-reproducible from its seed and flags alone.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .characters import (pair_character, shift_defect, tangent_weights,
@@ -109,22 +108,16 @@ def _compare_table(gammas, lhs_values, rhs_values):
     return comparisons, first_mismatch
 
 
-def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def verify_main(n: int, max_degree: int, trials: int, seed: int,
                 explicit_point: ParameterPoint | None = None, jobs: int = 1) -> dict:
     """Compare the localization series against the eigenfunction product,
-    coefficient by coefficient, at sampled (or given) parameter points."""
+    coefficient by coefficient, at sampled (or given) parameter points.
+    `jobs` is accepted and ignored, kept for compatibility."""
     gammas = list(degree_vectors(n - 1, max_degree))
 
     def compute(pt: ParameterPoint) -> dict:
         product = cs_product_series(n, pt.a_over_x(), pt.m, max_degree)
-        lhs = _map_jobs(lambda g: chern_series_coefficient(n, g, pt), gammas, jobs)
+        lhs = [chern_series_coefficient(n, g, pt) for g in gammas]
         rhs = [product.coefficient(g) for g in gammas]
         comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
         return {"comparisons": comparisons,
@@ -141,14 +134,15 @@ TODA_DIAGNOSTIC_COUPLINGS = (100, 10_000, 1_000_000)
 def verify_toda(n: int, max_degree: int, trials: int, seed: int,
                 explicit_point: ParameterPoint | None = None, jobs: int = 1) -> dict:
     """Compare equivariant volumes against the Toda eigenfunction tail, and
-    check that the rescaled strong-coupling coefficients converge to it."""
+    check that the rescaled strong-coupling coefficients converge to it.
+    `jobs` is accepted and ignored, kept for compatibility."""
     gammas = list(degree_vectors(n - 1, max_degree))
     diag_gammas = [g for g in gammas if 1 <= total_degree(g) <= min(max_degree, 2)]
 
     def compute(pt: ParameterPoint) -> dict:
         a_over_x = pt.a_over_x()
         toda = toda_coefficients(n, a_over_x, max_degree, x=pt.x)
-        lhs = _map_jobs(lambda g: volume_coefficient(n, g, pt), gammas, jobs)
+        lhs = [volume_coefficient(n, g, pt) for g in gammas]
         rhs = [toda.coefficient(g) for g in gammas]
         comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
         gauge_toda = (toda if pt.x == 1
@@ -527,7 +521,8 @@ def _algebra_records(n, rng) -> list[dict]:
 
 
 def run_properties(n: int, max_degree: int, seed: int, jobs: int = 1) -> dict:
-    """Run every cross-module invariant suite at the given scale."""
+    """Run every cross-module invariant suite at the given scale.  `jobs` is
+    accepted and ignored, kept for compatibility."""
     rng = SplitMix64(seed)
     records = [
         _census_record(n, max_degree),

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quasiflags.characters import (Character, TorusWeight, geom_block,
-                                   pair_character, shift_defect, tangent_weights,
-                                   x_weight)
+                                   pair_character, pair_weight, shift_defect,
+                                   tangent_weights, x_weight)
 from quasiflags.errors import InternalInconsistency
 from quasiflags.series import degree_vectors
 from quasiflags.tableaux import Tableau, enumerate_fixed_points
@@ -126,3 +127,47 @@ def test_serialization_sorted_triples():
     triples = char.as_sorted_triples()
     assert triples == sorted(triples)
     assert ((-1, 1), 1, 3) in triples
+
+
+# -- differential test of pair_character ------------------------------------
+
+def reference_pair_character(d, d_prime, n):
+    """The docstring formula summed block by block: each geom_block character
+    is re-keyed to a_j - a_{j'} + k x and added or subtracted as a Character,
+    with the entries read through Tableau.entry."""
+    def block(count, j, j_prime):
+        return Character({pair_weight(j, j_prime, w.x_coeff, n): mult
+                          for w, mult in geom_block(count).terms.items()})
+
+    total = Character()
+    for i in range(1, n):
+        for j_prime in range(1, i + 1):
+            source = d_prime.entry(i, j_prime)
+            for j in range(1, i + 2):
+                total = total + block(source - d.entry(i + 1, j), j, j_prime)
+            for j in range(1, i + 1):
+                total = total - block(source - d.entry(i, j), j, j_prime)
+    return total
+
+
+@st.composite
+def tableau_pairs(draw):
+    n = draw(st.integers(2, 5))
+
+    def tableau():
+        gamma = tuple(draw(st.integers(0, 3)) for _ in range(n - 1))
+        return draw(st.sampled_from(enumerate_fixed_points(n, gamma)))
+
+    return n, tableau(), tableau()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tableau_pairs())
+# an off-diagonal pair whose blocks have negative, zero and positive counts
+@example((3, Tableau([(2,), (0, 1)]), Tableau([(1,), (1, 0)])))
+@example((3, Tableau([(1,), (1, 0)]), Tableau([(2,), (0, 1)])))
+def test_pair_character_matches_block_reference(case):
+    n, d, d_prime = case
+    char = pair_character(d, d_prime, n)
+    assert char == reference_pair_character(d, d_prime, n)
+    assert 0 not in char.terms.values()

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasiflags.scalars import generalized_binomial
 from quasiflags.series import (Series, degree_vectors, denominator_power_series,
@@ -110,3 +111,27 @@ def test_denominator_series_exponent_additivity():
 def test_degree_vectors_ordering():
     listed = list(degree_vectors(2, 2))
     assert listed == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+@st.composite
+def sparse_products(draw):
+    """Two sparse operands of independent truncations and a product degree no
+    higher than either."""
+    rank = draw(st.integers(1, 3))
+
+    def operand():
+        truncation = draw(st.integers(0, 5))
+        keys = draw(st.lists(st.sampled_from(list(degree_vectors(rank, truncation))),
+                             max_size=8))
+        values = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+        return Series(rank, truncation, {g: draw(values) for g in keys})
+
+    a, b = operand(), operand()
+    return a, b, draw(st.integers(0, min(a.truncation, b.truncation)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sparse_products())
+def test_graded_product_matches_all_pairs_loop(case):
+    a, b, degree = case
+    assert series_mul(a, b, degree) == brute_force_product(a, b, degree)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasiflags.localization import ParameterPoint
 from quasiflags.roots import embed_degree, kostant_count, rho
 from quasiflags.series import degree_vectors
+from quasiflags import tableaux
 from quasiflags.tableaux import Tableau, cartan_eigenvalue, enumerate_fixed_points
 
 
@@ -87,3 +89,23 @@ def test_cartan_eigenvalue_matches_weight_pairing():
         for d in enumerate_fixed_points(n, gamma):
             for i in range(1, n):
                 assert cartan_eigenvalue(i, d, pt) == lam[i - 1] - lam[i]
+
+
+@st.composite
+def degrees(draw):
+    n = draw(st.integers(2, 5))
+    return n, tuple(draw(st.integers(0, 4)) for _ in range(n - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(degrees())
+def test_cached_enumeration_is_fresh_and_uncorrupted(case):
+    n, gamma = case
+    uncached = list(tableaux._fixed_points.__wrapped__(n, gamma))
+    first = enumerate_fixed_points(n, gamma)
+    assert first == uncached
+    first.append(Tableau.zero(n))
+    first.reverse()
+    second = enumerate_fixed_points(n, list(gamma))
+    assert second == uncached
+    assert second is not first
