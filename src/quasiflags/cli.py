@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .eigenfunctions import cs_coefficients, cs_product_series, toda_coefficients
 from .errors import NonGenericParameter, ResonantParameter
@@ -134,7 +135,12 @@ def build_parser() -> _Parser:
 
 
 def _emit(document: dict) -> None:
-    sys.stdout.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    """Write json.dumps(document, indent=2, sort_keys=True) + newline in pieces
+    of 4096 tokens: never the whole report at once, nor one write per token."""
+    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
+    while piece := "".join(islice(tokens, 4096)):
+        sys.stdout.write(piece)
+    sys.stdout.write("\n")
 
 
 def _inspect(args, parser) -> int:

@@ -10,16 +10,20 @@ with c_{lam0} = 1 and s = (lam0, lam0); the degenerate (Toda) operator keeps
 only first neighbours along simple roots with the coupling replaced by 2/x^2.
 Coefficients are stored on degree vectors: the highest-term exponential is
 factored out by reindexing lam = lam0 + gamma, never carried symbolically.
+
+All walks run on the cached series.root_lattice of (n, D).  Each gap
+(lam, lam) - s is an integer over the lcm of the denominators of lam0, so
+resonance is decided before the recursion starts.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ResonantParameter
-from .roots import (WeightVec, check_zero_sum, embed_degree, inner,
-                    positive_root_supports, root_degree_support)
-from .series import (Series, check_degree_vector, degree_vectors,
-                     denominator_power_series, series_mul, total_degree)
+from .roots import WeightVec, check_zero_sum, inner
+from .series import (RootLattice, Series, check_degree_vector, root_lattice,
+                     total_degree, weyl_fold)
 
 
 @dataclass(frozen=True)
@@ -40,57 +44,58 @@ class EigenSeries:
         return self.tail.coefficient(gamma)
 
 
-def _root_walk(gamma, supports, coefficient) -> Fraction:
-    """Sum of j * coefficient(gamma - j alpha) over positive roots alpha, j >= 1, in the cone."""
-    acc = Fraction(0)
-    for sup in supports:
-        j = 1
-        target = tuple(g - s for g, s in zip(gamma, sup))
-        while all(t >= 0 for t in target):
-            acc += j * coefficient(target)
-            j += 1
-            target = tuple(t - s for t, s in zip(target, sup))
+def _chain_sum(lattice: RootLattice, i: int, c: list):
+    """Sum of j * c[gamma - j alpha] over positive roots alpha and j >= 1 in
+    the cone, at gamma the i-th degree vector of the lattice."""
+    acc = 0
+    for prev in lattice.prev:
+        j, p = 1, prev[i]
+        while p >= 0:
+            acc += j * c[p]
+            j, p = j + 1, prev[p]
     return acc
 
 
-def _eigen_recursion(n, a_over_x, degree, source_terms):
-    """Shared driver: fill coefficients in increasing total degree.
+def _integer_gaps(lattice: RootLattice, lam0) -> tuple[int, list[int]]:
+    """L, the lcm of the denominators of lam0, and for each degree vector
+    gamma the integer G = sum_k (2 U_k + L e_k) e_k, where U = L lam0 and e
+    embeds gamma, so that (lam0 + e, lam0 + e) - s = G / L."""
+    scale = lcm(*(l.denominator for l in lam0))
+    u2 = [2 * l.numerator * (scale // l.denominator) for l in lam0]
+    return scale, [sum((w + scale * e) * e for w, e in zip(u2, emb))
+                   for emb in lattice.embeddings]
 
-    source_terms(gamma, coeffs) must return the weighted sum of
-    already-computed lower-degree coefficients appearing on the right side of
-    the recursion for gamma.
-    """
+
+def _eigen_recursion(n, a_over_x, degree, coupling, walk) -> tuple[WeightVec, RootLattice, list]:
+    """Shared driver: decide resonance from the integer gaps, then fill the
+    coefficient list in (total, lex) order by c = coupling L walk / G, where
+    walk(lattice, i, c) sums the already-computed lower-degree coefficients
+    on the right side of the recursion at the i-th degree vector."""
     lam0 = check_zero_sum(a_over_x)
     if len(lam0) != n:
         raise ValueError(f"expected {n} coordinates, got {len(lam0)}")
-    s = inner(lam0, lam0)
-    coeffs = {}
-    for gamma in degree_vectors(n - 1, degree):
-        if total_degree(gamma) == 0:
-            coeffs[gamma] = Fraction(1)
-            continue
-        lam = tuple(l + g for l, g in zip(lam0, embed_degree(gamma, n)))
-        gap = inner(lam, lam) - s
-        if gap == 0:
-            raise ResonantParameter(
-                f"(lam, lam) = s at gamma={gamma}; highest weight is not generic")
-        coeffs[gamma] = source_terms(gamma, coeffs) / gap
-    return EigenSeries(lam0, Series(n - 1, degree, coeffs), s)
+    lattice = root_lattice(n, degree)
+    scale, gaps = _integer_gaps(lattice, lam0)
+    if 0 in gaps[1:]:
+        raise ResonantParameter(f"(lam, lam) = s at gamma={lattice.vectors[gaps.index(0, 1)]}; "
+                                "highest weight is not generic")
+    factor = coupling * scale
+    c = [Fraction(1)] + [Fraction(0)] * (len(gaps) - 1)
+    for i in range(1, len(gaps)):
+        c[i] = factor * walk(lattice, i, c) / gaps[i]
+    return lam0, lattice, c
+
+
+def _eigen_series(n, lam0, lattice, c) -> EigenSeries:
+    tail = Series(n - 1, lattice.degree, dict(zip(lattice.vectors, c)))
+    return EigenSeries(lam0, tail, inner(lam0, lam0))
 
 
 def cs_coefficients(n: int, a_over_x, m, degree: int) -> EigenSeries:
     """Calogero-Sutherland eigenfunction tail with coupling m, through total
     degree `degree`.  Raises ResonantParameter on a non-generic base point."""
     m = Fraction(m)
-    coupling = 2 * m * (m + 1)
-    supports = positive_root_supports(n)
-
-    def source_terms(gamma, coeffs):
-        if coupling == 0:
-            return Fraction(0)
-        return coupling * _root_walk(gamma, supports, coeffs.__getitem__)
-
-    return _eigen_recursion(n, a_over_x, degree, source_terms)
+    return _eigen_series(n, *_eigen_recursion(n, a_over_x, degree, 2 * m * (m + 1), _chain_sum))
 
 
 def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeries:
@@ -99,27 +104,22 @@ def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeri
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
-    coupling = Fraction(2) / (x * x)
-    simples = [root_degree_support(i, i + 1, n) for i in range(1, n)]
 
-    def source_terms(gamma, coeffs):
-        acc = Fraction(0)
-        for sup in simples:
-            target = tuple(g - s for g, s in zip(gamma, sup))
-            if all(t >= 0 for t in target):
-                acc += coeffs[target]
-        return coupling * acc
+    def first_neighbours(lattice, i, c):  # the n - 1 simple roots come first
+        return sum(c[prev[i]] for prev in lattice.prev[:n - 1] if prev[i] >= 0)
 
-    return _eigen_recursion(n, a_over_x, degree, source_terms)
+    return _eigen_series(n, *_eigen_recursion(n, a_over_x, degree, 2 / (x * x),
+                                              first_neighbours))
 
 
 def cs_product_series(n: int, a_over_x, m, degree: int) -> Series:
-    """The eigenfunction side of the Chern-series identity: the CS tail
-    (highest term already factored out) convolved with the (m+1)-st inverse
-    power of the Weyl-denominator product over positive roots."""
-    tail = cs_coefficients(n, a_over_x, m, degree).tail
-    weyl = denominator_power_series(n, Fraction(m) + 1, degree)
-    return series_mul(tail, weyl, degree)
+    """The eigenfunction side of the Chern-series identity: the CS tail times
+    the (m+1)-st inverse power of the Weyl-denominator product over positive
+    roots, folded into the tail in place (series.weyl_fold)."""
+    m = Fraction(m)
+    _, lattice, c = _eigen_recursion(n, a_over_x, degree, 2 * m * (m + 1), _chain_sum)
+    weyl_fold(lattice, c, m)
+    return Series(n - 1, degree, dict(zip(lattice.vectors, c)))
 
 
 def apply_cs_operator(series: EigenSeries, m, degree: int) -> Series:
@@ -132,16 +132,13 @@ def apply_cs_operator(series: EigenSeries, m, degree: int) -> Series:
     """
     m = Fraction(m)
     coupling = 2 * m * (m + 1)
-    n = len(series.base)
-    supports = positive_root_supports(n)
-    out = {}
-    for gamma in degree_vectors(series.rank, min(degree, series.tail.truncation)):
-        lam = tuple(l + g for l, g in zip(series.base, embed_degree(gamma, n)))
-        value = inner(lam, lam) * series.coefficient(gamma)
-        if coupling != 0:
-            value -= coupling * _root_walk(gamma, supports, series.coefficient)
-        out[gamma] = value
-    return Series(series.rank, min(degree, series.tail.truncation), out)
+    lattice = root_lattice(len(series.base), min(degree, series.tail.truncation))
+    scale, gaps = _integer_gaps(lattice, series.base)
+    s = inner(series.base, series.base)
+    c = [series.tail.coeffs.get(g, Fraction(0)) for g in lattice.vectors]
+    out = {g: (s + Fraction(gap, scale)) * c[i] - coupling * _chain_sum(lattice, i, c)
+           for i, (g, gap) in enumerate(zip(lattice.vectors, gaps))}
+    return Series(series.rank, lattice.degree, out)
 
 
 def toda_limit_ratios(n: int, gamma, a_over_x, m_values) -> list[Fraction]:

@@ -11,7 +11,7 @@ with the coefficient pattern the eigenfunction recursion expects.
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import DegreeVector, check_degree_vector
+from .series import DegreeVector, check_degree_vector, root_lattice
 
 WeightVec = tuple[Fraction, ...]
 CoweightVec = tuple[Fraction, ...]
@@ -67,15 +67,6 @@ def positive_roots(n: int) -> list[WeightVec]:
     return [root_weight(i, j, n) for i, j in positive_root_pairs_descending(n)]
 
 
-def root_degree_support(i: int, j: int, n: int) -> DegreeVector:
-    """Degree vector of w_i - w_j = alpha_i + ... + alpha_{j-1}."""
-    return tuple(1 if i <= k <= j - 1 else 0 for k in range(1, n))
-
-
-def positive_root_supports(n: int) -> list[DegreeVector]:
-    return [root_degree_support(i, j, n) for i, j in positive_root_pairs_descending(n)]
-
-
 def embed_degree(gamma, n: int) -> WeightVec:
     """Coordinates of gamma = -sum d_i alpha_i; always a zero-sum integer vector."""
     gamma = check_degree_vector(gamma, n - 1)
@@ -101,7 +92,7 @@ def pairing(coweight, weight) -> Fraction:
 
 @lru_cache(maxsize=1024)  # one key per degree: 792 at n=6 D=7 and n=8 D=5
 def _kostant_cached(n: int, gamma: DegreeVector) -> int:
-    supports = positive_root_supports(n)
+    supports = root_lattice(n, 0).supports
 
     def count(idx: int, remaining: tuple[int, ...]) -> int:
         if all(r == 0 for r in remaining):

@@ -11,7 +11,8 @@ operation in the package is triangular.
 """
 
 from fractions import Fraction
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 from .scalars import generalized_binomial
 
@@ -156,33 +157,53 @@ def series_mul(a: Series, b: Series, degree: int) -> Series:
     return Series(a.rank, degree, out)
 
 
-def geometric_factor(rank: int, support: tuple[int, ...], exponent, degree: int) -> Series:
-    """Expansion of (1 - e^{-alpha})^{-exponent} for the positive root alpha
-    whose degree vector is `support`, truncated at total degree `degree`."""
-    step = sum(support)
-    coeffs = {}
-    k = 0
-    while k * step <= degree:
-        coeffs[tuple(k * s for s in support)] = generalized_binomial(Fraction(exponent) - 1, k)
-        if step == 0:
-            break
-        k += 1
-    return Series(rank, degree, coeffs)
+class RootLattice(NamedTuple):
+    """The degree vectors of sl_n through total degree `degree`, in (total,
+    lex) order, with their integer weight coordinates, the positive roots
+    (simple roots first) and, for each root alpha, the predecessor array
+    prev[i]: the index of vectors[i] - alpha, or -1 outside the cone."""
+
+    degree: int
+    vectors: tuple[DegreeVector, ...]
+    embeddings: tuple[tuple[int, ...], ...]
+    supports: tuple[DegreeVector, ...]
+    prev: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=32)  # one key per (n, D) in use; a run touches a handful
+def root_lattice(n: int, degree: int) -> RootLattice:
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    vectors = tuple(degree_vectors(n - 1, degree))
+    index = {g: i for i, g in enumerate(vectors)}
+    # coefficient of e_k in -sum d_i (e_i - e_{i+1}) is d_{k-1} - d_k
+    embeddings = tuple(tuple(p - q for p, q in zip((0,) + g, g + (0,))) for g in vectors)
+    # positive roots alpha_i + ... + alpha_{i+h-1} by height h: simple roots first
+    supports = tuple(tuple(1 if i <= k < i + h else 0 for k in range(1, n))
+                     for h in range(1, n) for i in range(1, n - h + 1))
+    prev = tuple(tuple(index.get(tuple(d - s for d, s in zip(g, sup)), -1) for g in vectors)
+                 for sup in supports)
+    return RootLattice(degree, vectors, embeddings, supports, prev)
+
+
+def weyl_fold(lattice: RootLattice, h: list, m) -> None:
+    """Multiply the coefficient list h (indexed like lattice.vectors) in place
+    by prod_{alpha > 0} (1 - e^{-alpha})^{-m-1}, one root at a time.  The
+    descending sweep reads the lower entries before they are updated."""
+    b = [generalized_binomial(m, k) for k in range(1, lattice.degree + 1)]
+    for prev in lattice.prev:
+        for i in range(len(h) - 1, 0, -1):
+            k, p = 0, prev[i]
+            while p >= 0:
+                h[i] += b[k] * h[p]
+                k, p = k + 1, prev[p]
 
 
 def denominator_power_series(n: int, exponent, degree: int) -> Series:
-    """Expansion of prod_{alpha > 0} (1 - e^{-alpha})^{-exponent} for sl_n.
-
-    Each positive root alpha_i + ... + alpha_{j-1} contributes a geometric
-    factor; the factors are multiplied out with truncation at total degree
-    `degree`.  Exponent 0 gives the unit series.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    rank = n - 1
-    result = Series.one(rank, degree)
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            support = tuple(1 if i <= k <= j - 1 else 0 for k in range(1, n))
-            result = series_mul(result, geometric_factor(rank, support, exponent, degree), degree)
-    return result
+    """Expansion of prod_{alpha > 0} (1 - e^{-alpha})^{-exponent} for sl_n,
+    truncated at total degree `degree`: the unit series folded root by root
+    (see weyl_fold).  Exponent 0 gives the unit series."""
+    lattice = root_lattice(n, degree)
+    h = [Fraction(1)] + [Fraction(0)] * (len(lattice.vectors) - 1)
+    weyl_fold(lattice, h, Fraction(exponent) - 1)
+    return Series(n - 1, degree, dict(zip(lattice.vectors, h)))

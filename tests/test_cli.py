@@ -3,6 +3,7 @@ import json
 import pytest
 
 import quasiflags.cli as cli
+from quasiflags.verify import verify_main
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +19,15 @@ def test_verify_main_command(capsys):
     report = json.loads(out)
     assert report["verdict"] == "pass"
     assert report["command"] == "verify-main"
+
+
+def test_report_is_written_as_the_dumps_bytes(capsys):
+    _, out, _ = run_cli(capsys, "verify-main", "--n", "3", "--max-degree", "12",
+                        "--trials", "5", "--seed", "5")
+    report = verify_main(3, 12, 5, 5)
+    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    assert sum(1 for _ in tokens) > 2 * 4096     # _emit writes three pieces
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_toda_command(capsys):
