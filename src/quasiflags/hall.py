@@ -5,8 +5,10 @@ indecomposables [i; l] (support on vertices i..i+l-1, all edge maps
 isomorphisms).  Sending the class of the simple at vertex i to the matrix
 unit E_{i+1,i} realizes the q=1 Hall algebra inside n x n matrices; the
 structure constants themselves are counted here by brute force over a finite
-field, enumerating every edge-closed tuple of subspaces and classifying sub
-and quotient by the rank invariants of composed edge maps.
+field.  Each subspace is its reduced row-echelon basis, and the ambient's edge
+maps are coordinate maps (each coordinate belongs to one indecomposable copy,
+and a map keeps it or drops it), so one elimination mod q decides both edge
+closure and the rank invariants that classify sub and quotient.
 
 The same module houses the two closed multiplicative identities used by the
 verification suite: the descending product of root exponentials equals the
@@ -16,7 +18,7 @@ turning that matrix times a diagonal into the diagonal again.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from math import factorial
 
 from .errors import NonGenericParameter
@@ -129,93 +131,22 @@ def _rank_mod(rows, q: int) -> int:
     return rank
 
 
-def _mat_mul_mod(a, b, q: int):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % q for col in bt] for row in a]
-
-
-def _apply_mod(matrix, vec, q: int):
-    return tuple(sum(m * v for m, v in zip(row, vec)) % q for row in matrix)
-
-
 @lru_cache(maxsize=16)  # dim <= MAX_AMBIENT_DIM, q in SUPPORTED_FIELD_SIZES: 10 keys
 def _all_subspaces(dim: int, q: int):
-    """Every subspace of F_q^dim, each as a frozenset of all its vectors."""
-    zero = (0,) * dim
-    base = frozenset([zero])
-    seen = {base}
-    frontier = [base]
-    vectors = list(iter_product(range(q), repeat=dim))
-    while frontier:
-        grown = []
-        for space in frontier:
-            for v in vectors:
-                if v in space:
-                    continue
-                bigger = frozenset(tuple((s_i + c * v_i) % q for s_i, v_i in zip(s, v))
-                                   for s in space for c in range(q))
-                if bigger not in seen:
-                    seen.add(bigger)
-                    grown.append(bigger)
-        frontier = grown
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
-
-
-def _subspace_basis(space, dim: int, q: int):
-    """Row-reduced basis of a subspace given as a vector set."""
-    rows = [list(v) for v in sorted(space) if any(v)]
-    basis = []
-    pivots = []
-    for row in rows:
-        row = row[:]
-        for p, brow in zip(pivots, basis):
-            if row[p]:
-                f = row[p]
-                row = [(a - f * b) % q for a, b in zip(row, brow)]
-        lead = next((c for c in range(dim) if row[c]), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], -1, q)
-        row = [(e * inv) % q for e in row]
-        basis.append(row)
-        pivots.append(lead)
-    return basis
-
-
-class _ExplicitRep:
-    """A concrete A-type quiver representation over F_q: one space per vertex,
-    one matrix per edge (stored as target-dim x source-dim integer rows)."""
-
-    def __init__(self, dims, edges, q):
-        self.dims = list(dims)
-        self.edges = edges  # edges[v-1]: map from vertex v to v+1
-        self.q = q
-
-    @classmethod
-    def from_class(cls, kappa: QuiverRepClass, n: int, q: int) -> "_ExplicitRep":
-        dims = kappa.dimension_vector(n)
-        # allocate one coordinate per (indecomposable copy, vertex in support)
-        slots = {v: [] for v in range(1, n)}
-        for (i, l), k in kappa.items():
-            for copy in range(k):
-                for v in range(i, i + l):
-                    slots[v].append((i, l, copy))
-        edges = []
-        for v in range(1, n - 1):
-            rows = [[0] * dims[v - 1] for _ in range(dims[v])]
-            for col, key in enumerate(slots[v]):
-                if key in slots[v + 1]:
-                    rows[slots[v + 1].index(key)][col] = 1
-            edges.append(rows)
-        return cls(dims, edges, q)
-
-    def composed(self, a: int, b: int):
-        """Matrix of the composition vertex a -> vertex b (a <= b)."""
-        result = [[int(r == c) for c in range(self.dims[a - 1])]
-                  for r in range(self.dims[a - 1])]
-        for v in range(a, b):
-            result = _mat_mul_mod(self.edges[v - 1], result, self.q)
-        return result
+    """Every subspace of F_q^dim, each as its reduced row-echelon basis: one
+    basis per choice of pivot columns and of the free entries (those right of
+    their row's pivot and outside every pivot column)."""
+    spaces = []
+    for rank in range(dim + 1):
+        for pivots in combinations(range(dim), rank):
+            free = [(r, c) for r, p in enumerate(pivots)
+                    for c in range(p + 1, dim) if c not in pivots]
+            for values in iter_product(range(q), repeat=len(free)):
+                rows = [[int(c == p) for c in range(dim)] for p in pivots]
+                for (r, c), value in zip(free, values):
+                    rows[r][c] = value
+                spaces.append(tuple(tuple(row) for row in rows))
+    return tuple(spaces)
 
 
 def _classify_by_ranks(rank_fn, dims, n: int) -> QuiverRepClass:
@@ -248,10 +179,13 @@ def hall_count(sub: QuiverRepClass, quot: QuiverRepClass,
     """Number of subrepresentations of the ambient class with the prescribed
     sub and quotient classes, counted over the field with q elements.
 
-    Realizes the ambient class with identity/zero edge blocks, walks every
-    tuple of subspaces closed under the edge maps, and classifies sub and
-    quotient by composed-map ranks.  Only tiny ambients are supported: the
-    vertex dimensions must sum to at most 4 and q must be 2 or 3.
+    The ambient gets one coordinate slot per (indecomposable copy, vertex of
+    its support), and every composed edge map vertex a -> vertex b keeps the
+    coordinates whose slot also sits at b and drops the rest.  The count walks
+    every tuple of subspaces (reduced row-echelon bases) closed under the edge
+    maps and classifies sub and quotient by composed-map ranks.  Only tiny
+    ambients are supported: the vertex dimensions must sum to at most 4 and q
+    must be 2 or 3.
     """
     if q not in SUPPORTED_FIELD_SIZES:
         raise ValueError(f"field size must be one of {SUPPORTED_FIELD_SIZES}, got {q}")
@@ -266,58 +200,45 @@ def hall_count(sub: QuiverRepClass, quot: QuiverRepClass,
     if tuple(s + t for s, t in zip(sub_dims, quot_dims)) != dims:
         return 0
 
-    rep = _ExplicitRep.from_class(ambient, n, q)
     vertices = n - 1
-    spaces_per_vertex = [_all_subspaces(dims[v - 1], q) for v in range(1, vertices + 1)]
-    compositions = {(a, b): rep.composed(a, b)
-                    for a in range(1, vertices + 1) for b in range(a, vertices + 1)}
+    slots = {v: [(i, l, copy) for (i, l), k in ambient.items() for copy in range(k)
+                 if i <= v < i + l] for v in range(1, n)}
+
+    def carry(rows, a, b):
+        """Rows at vertex a sent along the composed map to vertex b."""
+        where = [slots[a].index(s) if s in slots[a] else None for s in slots[b]]
+        return [[row[c] if c is not None else 0 for c in where] for row in rows]
+
+    def unit_rows(v):
+        return [[int(r == c) for c in range(dims[v - 1])] for r in range(dims[v - 1])]
+
+    def closed(basis, prev, v):
+        """The edge map into vertex v sends the span of prev into that of basis."""
+        return _rank_mod(list(basis) + carry(prev, v - 1, v), q) == len(basis)
+
+    def matches(chosen):
+        def sub_rank(a, b):
+            return _rank_mod(carry(chosen[a - 1], a, b), q)
+
+        def quot_rank(a, b):
+            rows = carry(unit_rows(a), a, b) + list(chosen[b - 1])
+            return _rank_mod(rows, q) - sub_dims[b - 1]
+
+        return (_classify_by_ranks(sub_rank, sub_dims, n) == sub
+                and _classify_by_ranks(quot_rank, quot_dims, n) == quot)
 
     count = 0
     stack = [()]
     while stack:
         chosen = stack.pop()
-        v = len(chosen)
-        if v == vertices:
-            count += _matches(chosen, rep, compositions, sub, quot, dims, n, q)
+        v = len(chosen) + 1
+        if v > vertices:
+            count += matches(chosen)
             continue
-        for space in spaces_per_vertex[v]:
-            if len(_subspace_basis(space, dims[v], q)) != sub_dims[v]:
-                continue
-            if v > 0:
-                edge = rep.edges[v - 1]
-                prev_basis = _subspace_basis(chosen[v - 1], dims[v - 1], q)
-                if any(_apply_mod(edge, w, q) not in space for w in prev_basis):
-                    continue
-            stack.append(chosen + (space,))
+        for basis in _all_subspaces(dims[v - 1], q):
+            if len(basis) == sub_dims[v - 1] and (v == 1 or closed(basis, chosen[-1], v)):
+                stack.append(chosen + (basis,))
     return count
-
-
-def _matches(chosen, rep, compositions, sub, quot, dims, n, q) -> int:
-    vertices = n - 1
-    bases = [_subspace_basis(space, dims[v], q) for v, space in enumerate(chosen)]
-    sub_dims = tuple(len(b) for b in bases)
-
-    def sub_rank(a, b):
-        if not bases[a - 1]:
-            return 0
-        rows = [_apply_mod(compositions[(a, b)], w, q) for w in bases[a - 1]]
-        return _rank_mod(rows, q)
-
-    def quot_rank(a, b):
-        if dims[b - 1] == 0:
-            return 0
-        image = [_apply_mod(compositions[(a, b)], e, q)
-                 for e in ([tuple(int(r == c) for c in range(dims[a - 1]))
-                            for r in range(dims[a - 1])])]
-        rows = image + [tuple(w) for w in bases[b - 1]]
-        return _rank_mod(rows, q) - len(bases[b - 1])
-
-    if _classify_by_ranks(sub_rank, sub_dims, n) != sub:
-        return 0
-    quot_dims = tuple(d - s for d, s in zip(dims, sub_dims))
-    if _classify_by_ranks(quot_rank, quot_dims, n) != quot:
-        return 0
-    return 1
 
 
 def candidate_classes(dim_vector, n: int) -> list[QuiverRepClass]:

@@ -56,7 +56,6 @@ class Matrix:
                        for ra, rb in zip(self.rows, other.rows)])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        n = self.size
         bt = list(zip(*other.rows))
         return Matrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
                        for row in self.rows])

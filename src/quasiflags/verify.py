@@ -10,8 +10,7 @@ byte-reproducible from its seed and flags alone.
 
 from fractions import Fraction
 
-from .characters import (pair_character, shift_defect, tangent_weights,
-                         weight_table)
+from .characters import pair_character, shift_defect, tangent_table, weight_table
 from .errors import InternalInconsistency, NonGenericParameter, ResonantParameter
 from .eigenfunctions import (apply_cs_operator, cs_coefficients,
                              cs_product_series, toda_coefficients,
@@ -24,7 +23,7 @@ from .localization import (ParameterPoint, chern_matrix_element,
                            weight_ratio)
 from .matrices import Matrix
 from .roots import (embed_degree, kostant_count, pairing,
-                    positive_root_pairs_descending, rho_vee)
+                    positive_root_pairs_descending, rho, rho_vee)
 from .sampling import (SplitMix64, sample_coupling, sample_distinct_nonzero,
                        sample_zero_sum_integers)
 from .scalars import format_rational
@@ -175,6 +174,19 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
 
 # -- property suites ----------------------------------------------------------
 
+def _first_generic(attempt, exhausted):
+    """Return attempt() from the first call that completes; each call draws
+    its own point, and a call that meets a non-generic or resonant point is
+    dropped whole, findings included.  Returns exhausted when RETRY_BUDGET
+    calls all fail."""
+    for _ in range(RETRY_BUDGET):
+        try:
+            return attempt()
+        except (NonGenericParameter, ResonantParameter):
+            continue
+    return exhausted
+
+
 def _record(name, scale, passed, witnesses=None, detail=None) -> dict:
     rec = {"name": name, "scale": scale, "passed": bool(passed),
            "witnesses": witnesses or []}
@@ -237,7 +249,7 @@ def _character_record(n, max_degree) -> dict:
                                      f"{dp.as_flat_list()}): {exc}")
         for d in tabs:
             try:
-                tangent_weights(d, nn)  # raises on zero weight or bad size
+                tangent_table(d, nn)  # raises on zero weight or bad size
             except InternalInconsistency as exc:
                 witnesses.append(f"n={nn} tangent failure at {d.as_flat_list()}: {exc}")
     return _record("pair characters have bundle rank, no negative multiplicity; "
@@ -284,26 +296,26 @@ def _twist_ratio_record(n, rng) -> dict:
     values = []
     for nn in range(2, min(n, 3) + 1):
         for m_int in (1, 2):
-            for _ in range(RETRY_BUDGET):
+            def attempt():
                 a = sample_zero_sum_integers(rng, nn)
                 pt = ParameterPoint(a, Fraction(1), Fraction(m_int))
-                try:
-                    y = twist_constant(nn, m_int, pt)
-                    tabs = [t for g in degree_vectors(nn - 1, 2)
-                            for t in enumerate_fixed_points(nn, g)]
-                    pairs = [(dp, d) for dp in tabs for d in tabs][:8]
-                    bad = []
-                    for dp, d in pairs:
-                        top = chern_matrix_element(dp, d, pt)
-                        bottom = chern_matrix_element(dp, d.shift(m_int), pt.with_m(0))
-                        if top != y * bottom:
-                            bad.append((dp, d))
-                    break
-                except (NonGenericParameter, ResonantParameter):
-                    continue
-            else:
+                y = twist_constant(nn, m_int, pt)
+                tabs = [t for g in degree_vectors(nn - 1, 2)
+                        for t in enumerate_fixed_points(nn, g)]
+                pairs = [(dp, d) for dp in tabs for d in tabs][:8]
+                bad = []
+                for dp, d in pairs:
+                    top = chern_matrix_element(dp, d, pt)
+                    bottom = chern_matrix_element(dp, d.shift(m_int), pt.with_m(0))
+                    if top != y * bottom:
+                        bad.append((dp, d))
+                return y, bad
+
+            found = _first_generic(attempt, None)
+            if found is None:
                 witnesses.append(f"n={nn} m={m_int}: no generic point")
                 continue
+            y, bad = found
             if bad:
                 witnesses.append(f"n={nn} m={m_int}: {len(bad)} pairs off constant")
             else:
@@ -315,74 +327,66 @@ def _twist_ratio_record(n, rng) -> dict:
 
 
 def _coupling_zero_record(n, max_degree, rng) -> dict:
-    witnesses = []
-    for _ in range(RETRY_BUDGET):
+    def attempt():
         a = sample_zero_sum_integers(rng, n)
         pt = ParameterPoint(a, Fraction(1), Fraction(0))
-        try:
-            for gamma in degree_vectors(n - 1, max_degree):
-                value = chern_series_coefficient(n, gamma, pt)
-                if value != kostant_count(gamma, n):
-                    witnesses.append(f"gamma={format_gamma(gamma)}: {value}")
-            break
-        except NonGenericParameter:
-            continue
-    else:
-        witnesses.append("no generic point")
+        found = []
+        for gamma in degree_vectors(n - 1, max_degree):
+            value = chern_series_coefficient(n, gamma, pt)
+            if value != kostant_count(gamma, n):
+                found.append(f"gamma={format_gamma(gamma)}: {value}")
+        return found
+
+    witnesses = _first_generic(attempt, ["no generic point"])
     return _record("zero-coupling series counts the fixed points",
                    f"n={n}, |gamma|<={max_degree}", not witnesses, witnesses)
 
 
 def _scaling_record(n, max_degree, rng) -> dict:
-    witnesses = []
     bound = min(max_degree, 3)
-    for _ in range(RETRY_BUDGET):
+
+    def attempt():
         a = sample_zero_sum_integers(rng, n)
         m = sample_coupling(rng)
         pt = ParameterPoint(a, Fraction(1), m)
-        try:
-            for t in (Fraction(2), Fraction(-3), Fraction(5, 7)):
-                scaled = pt.scaled(t)
-                for gamma in degree_vectors(n - 1, bound):
-                    if total_degree(gamma) == 0:
-                        continue
-                    base = chern_series_coefficient(n, gamma, pt)
-                    if chern_series_coefficient(n, gamma, scaled) != base:
-                        witnesses.append(f"chern not scale-invariant at {format_gamma(gamma)}, t={t}")
-                    vol = volume_coefficient(n, gamma, pt)
-                    expect = vol * t ** (-2 * total_degree(gamma))
-                    if volume_coefficient(n, gamma, scaled) != expect:
-                        witnesses.append(f"volume scaling off at {format_gamma(gamma)}, t={t}")
-            break
-        except NonGenericParameter:
-            continue
-    else:
-        witnesses.append("no generic point")
+        found = []
+        for t in (Fraction(2), Fraction(-3), Fraction(5, 7)):
+            scaled = pt.scaled(t)
+            for gamma in degree_vectors(n - 1, bound):
+                if total_degree(gamma) == 0:
+                    continue
+                base = chern_series_coefficient(n, gamma, pt)
+                if chern_series_coefficient(n, gamma, scaled) != base:
+                    found.append(f"chern not scale-invariant at {format_gamma(gamma)}, t={t}")
+                vol = volume_coefficient(n, gamma, pt)
+                expect = vol * t ** (-2 * total_degree(gamma))
+                if volume_coefficient(n, gamma, scaled) != expect:
+                    found.append(f"volume scaling off at {format_gamma(gamma)}, t={t}")
+        return found
+
+    witnesses = _first_generic(attempt, ["no generic point"])
     return _record("homogeneity: chern series is gauge-invariant, volumes scale by t^(-dim)",
                    f"n={n}, |gamma|<={bound}, t in {{2, -3, 5/7}}", not witnesses, witnesses)
 
 
 def _strong_coupling_record(n, rng) -> dict:
-    witnesses = []
-    for _ in range(RETRY_BUDGET):
+    def attempt():
         a = sample_zero_sum_integers(rng, n)
         pt = ParameterPoint(a, Fraction(1), Fraction(0))
-        try:
-            for gamma in degree_vectors(n - 1, 2):
-                if total_degree(gamma) == 0:
-                    continue
-                vol = volume_coefficient(n, gamma, pt)
-                ratios = []
-                for m in (1000, 1_000_000):
-                    num = chern_series_coefficient(n, gamma, pt.with_m(m))
-                    ratios.append(num / Fraction(m) ** (2 * total_degree(gamma)) / vol)
-                if not abs(ratios[1] - 1) < abs(ratios[0] - 1):
-                    witnesses.append(f"gamma={format_gamma(gamma)}: ratios {ratios}")
-            break
-        except NonGenericParameter:
-            continue
-    else:
-        witnesses.append("no generic point")
+        found = []
+        for gamma in degree_vectors(n - 1, 2):
+            if total_degree(gamma) == 0:
+                continue
+            vol = volume_coefficient(n, gamma, pt)
+            ratios = []
+            for m in (1000, 1_000_000):
+                num = chern_series_coefficient(n, gamma, pt.with_m(m))
+                ratios.append(num / Fraction(m) ** (2 * total_degree(gamma)) / vol)
+            if not abs(ratios[1] - 1) < abs(ratios[0] - 1):
+                found.append(f"gamma={format_gamma(gamma)}: ratios {ratios}")
+        return found
+
+    witnesses = _first_generic(attempt, ["no generic point"])
     return _record("strong-coupling series approaches the volume series",
                    f"n={n}, |gamma|<=2, m in {{1e3, 1e6}}", not witnesses, witnesses)
 
@@ -391,19 +395,16 @@ def _eigen_record(n, max_degree, rng) -> dict:
     witnesses = []
     degree = min(max_degree, 4)
     for nn in range(2, min(n, 3) + 1):
-        for _ in range(RETRY_BUDGET):
+        def attempt():
             a = sample_zero_sum_integers(rng, nn)
             m = sample_coupling(rng, forbid=(0, -1))
-            try:
-                series = cs_coefficients(nn, a, m, degree)
-                image = apply_cs_operator(series, m, degree)
-                if image != series.tail.scale(series.eigenvalue):
-                    witnesses.append(f"n={nn}: operator image differs from s * series")
-                break
-            except ResonantParameter:
-                continue
-        else:
-            witnesses.append(f"n={nn}: no generic highest weight")
+            series = cs_coefficients(nn, a, m, degree)
+            image = apply_cs_operator(series, m, degree)
+            if image != series.tail.scale(series.eigenvalue):
+                return [f"n={nn}: operator image differs from s * series"]
+            return []
+
+        witnesses += _first_generic(attempt, [f"n={nn}: no generic highest weight"])
     return _record("operator image of the eigen series is s times the series",
                    f"n<={min(n, 3)}, D={degree}", not witnesses, witnesses)
 
@@ -426,12 +427,11 @@ def _nongeneric_surface_record(n) -> dict:
 
 def _cartan_record(n, rng) -> dict:
     witnesses = []
-    from .roots import rho as rho_weight
     pt = ParameterPoint(sample_zero_sum_integers(rng, n), Fraction(1), Fraction(0))
     for gamma in degree_vectors(n - 1, 3):
         for d in enumerate_fixed_points(n, gamma):
             lam = tuple(ai / pt.x - r + g for ai, r, g in
-                        zip(pt.a, rho_weight(n), embed_degree(gamma, n)))
+                        zip(pt.a, rho(n), embed_degree(gamma, n)))
             for i in range(1, n):
                 direct = cartan_eigenvalue(i, d, pt)
                 via_pairing = lam[i - 1] - lam[i]

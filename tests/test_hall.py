@@ -1,9 +1,12 @@
+import hashlib
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
 from quasiflags.errors import NonGenericParameter
-from quasiflags.hall import (QuiverRepClass, all_ones_unitriangular,
+from quasiflags.hall import (MAX_AMBIENT_DIM, SUPPORTED_FIELD_SIZES,
+                             QuiverRepClass, all_ones_unitriangular,
                              candidate_classes, check_product_identity,
                              class_matrix, conjugator_check, conjugator_matrix,
                              hall_count, indecomposable_matrix,
@@ -81,6 +84,79 @@ def test_hall_count_guards():
         hall_count(simple, simple, QuiverRepClass({(1, 1): 2}), 5)  # field size
     # dimension mismatch is a zero count, not an error
     assert hall_count(simple, simple, QuiverRepClass.indecomposable(1, 2), 2) == 0
+
+
+def _ambient_dims(n):
+    """Every dimension vector of the A_{n-1} quiver of total at most MAX_AMBIENT_DIM."""
+    return [d for d in iter_product(range(MAX_AMBIENT_DIM + 1), repeat=n - 1)
+            if sum(d) <= MAX_AMBIENT_DIM]
+
+
+def _sub_dims(dims):
+    return list(iter_product(*(range(d + 1) for d in dims)))
+
+
+def _sweep(max_n):
+    """Every (n, sub, quotient, ambient, q) with n <= max_n, the ambient of
+    dimension at most MAX_AMBIENT_DIM (zero included), and the sub and quotient
+    dimension vectors adding up to the ambient's."""
+    for n in range(2, max_n + 1):
+        for dims in _ambient_dims(n):
+            for ambient in candidate_classes(dims, n):
+                for s in _sub_dims(dims):
+                    rest = tuple(d - x for d, x in zip(dims, s))
+                    for sub in candidate_classes(s, n):
+                        for quot in candidate_classes(rest, n):
+                            for q in SUPPORTED_FIELD_SIZES:
+                                yield n, sub, quot, ambient, q
+
+
+# sha256 of the canonical case list below, taken from the frozenset-of-vectors
+# enumeration with 0/1 edge matrices that preceded the echelon-basis one:
+# 2,248 cases, 1,128 of them nonzero
+SWEEP_N4_SHA256 = "80c816499b557a958775318d28a95764c5775b8393bf5ea36a174b90df7126f6"
+
+
+def test_hall_counts_match_the_pinned_sweep():
+    counts = {}
+    lines = []
+    for n, sub, quot, ambient, q in _sweep(4):
+        key = (sub, quot, ambient, q)
+        if key not in counts:
+            counts[key] = hall_count(sub, quot, ambient, q)
+        lines.append(f"{n} {sub.label()} / {quot.label()} / {ambient.label()} "
+                     f"q={q}: {counts[key]}")
+    assert len(lines) == 2248
+    assert sum(not line.endswith(": 0") for line in lines) == 1128
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SWEEP_N4_SHA256
+
+
+def _gaussian_binomial(d, s, q):
+    num = den = 1
+    for i in range(s):
+        num *= q ** (d - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_semisimple_ambient_counts_are_gaussian_binomials():
+    """All edge maps of a sum of simples vanish, so every tuple of subspaces
+    is a subrepresentation: summed over sub and quotient classes, the count
+    for sub dimension vector s is the product of [dims_v choose s_v]_q."""
+    for n in range(2, 5):
+        for dims in _ambient_dims(n):
+            ambient = QuiverRepClass({(v, 1): d for v, d in enumerate(dims, 1)})
+            for s in _sub_dims(dims):
+                rest = tuple(d - x for d, x in zip(dims, s))
+                for q in SUPPORTED_FIELD_SIZES:
+                    total = sum(hall_count(sub, quot, ambient, q)
+                                for sub in candidate_classes(s, n)
+                                for quot in candidate_classes(rest, n))
+                    expected = 1
+                    for d, x in zip(dims, s):
+                        expected *= _gaussian_binomial(d, x, q)
+                    assert total == expected, (dims, s, q)
 
 
 def test_candidate_classes_dimension_vector():

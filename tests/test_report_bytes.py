@@ -1,0 +1,35 @@
+"""Golden report bytes: the sha256 of the exact standard output of a few
+small CLI runs.  Any change to the mathematics, the sampling stream or the
+rendering of a report shows up here."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quasiflags
+
+SRC = str(Path(quasiflags.__file__).resolve().parent.parent)
+
+GOLDEN = [
+    ("verify-main --n 3 --max-degree 6 --trials 2 --seed 1",
+     "9782534f9e81331a412380b144527ec1a5ced6a705f8e1eecb779e3f5c1a48d6"),
+    ("verify-toda --n 3 --max-degree 4 --trials 2 --seed 1",
+     "fc6151e5602722ef31bbcbc8dd6d167921e070bcef34239cda47f30a029c5fd8"),
+    ("properties --n 3 --max-degree 3 --seed 3",
+     "e955d71a8ce88701443bb521b813e6cde4da69ede97f8099c411573f36814a83"),
+    ("inspect character --n 3 --tableau 1,0,1 --tableau2 1,1,0",
+     "e922ba543705b3c41a62aa0f0385786cf5cde283169182477eeda3604b8de373"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_report_bytes_are_pinned(command, digest):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "quasiflags", *command.split()],
+                         capture_output=True, env=env, check=True)
+    assert hashlib.sha256(run.stdout).hexdigest() == digest

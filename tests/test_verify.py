@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 import quasiflags.characters as characters
+import quasiflags.verify as verify
 from quasiflags.characters import Character, TorusWeight
+from quasiflags.errors import NonGenericParameter
 from quasiflags.localization import ParameterPoint
+from quasiflags.sampling import SplitMix64
 from quasiflags.verify import (GenericityExhausted, run_properties, verify_main,
                                verify_toda)
 
@@ -80,6 +83,32 @@ def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch):
     finally:
         monkeypatch.undo()
         characters.clear_caches()
+
+
+@pytest.mark.parametrize("record, args", [
+    (verify._coupling_zero_record, (3, 3)),
+    (verify._scaling_record, (3, 3)),
+    (verify._strong_coupling_record, (3,)),
+])
+def test_abandoned_point_leaves_no_witnesses(monkeypatch, record, args):
+    """The second Chern coefficient comes back wrong and the third meets a
+    vanishing weight, so the record resamples; every value at the point it
+    keeps is right, and the wrong value died with the abandoned point."""
+    original = verify.chern_series_coefficient
+    calls = []
+
+    def faulty(n, gamma, pt):
+        calls.append(gamma)
+        if len(calls) == 3:
+            raise NonGenericParameter("injected")
+        value = original(n, gamma, pt)
+        return -value if len(calls) == 2 else value
+
+    monkeypatch.setattr(verify, "chern_series_coefficient", faulty)
+    rec = record(*args, SplitMix64(1))
+    assert len(calls) > 3
+    assert rec["passed"], rec["witnesses"]
+    assert rec["witnesses"] == []
 
 
 def test_fault_free_after_cache_reset():
