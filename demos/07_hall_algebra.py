@@ -15,7 +15,8 @@ from quasiflags import (Matrix, QuiverRepClass, check_product_identity,
                         hall_count, indecomposable_matrix, unipotent_product)
 
 print("== indecomposables collapse to matrix units ==")
-print("[1;2] in 3x3 matrices:", indecomposable_matrix(1, 2, 3).rows)
+print("[1;2] in 3x3 matrices:",
+      [[str(e) for e in row] for row in indecomposable_matrix(1, 2, 3).rows])
 
 print()
 print("== subrepresentation counts (brute force over F_q) ==")

@@ -7,6 +7,11 @@ triple (step i, summand j of the target, summand j' of the source), twisted
 by the torus weight a_j - a_{j'}.  Restricted to the diagonal the bundle is
 the tangent bundle, which gives the tangent weights that feed every
 localization denominator.
+
+Internally a character is an integer count map (j, j', k) -> multiplicity of
+a_j - a_{j'} + k x (pair_counts), flattened into weight tables for the
+localization kernel; Character and TorusWeight are built from it only for
+the public API.
 """
 
 from functools import lru_cache
@@ -27,10 +32,6 @@ class TorusWeight(NamedTuple):
 
     def is_zero(self) -> bool:
         return self.x_coeff == 0 and all(c == 0 for c in self.a_coeffs)
-
-
-def x_weight(k: int, n: int) -> TorusWeight:
-    return TorusWeight((0,) * n, k)
 
 
 def pair_weight(j: int, j_prime: int, k: int, n: int) -> TorusWeight:
@@ -56,27 +57,17 @@ class Character:
     def __add__(self, other: "Character") -> "Character":
         out = dict(self.terms)
         for w, m in other.terms.items():
-            new = out.get(w, 0) + m
-            if new == 0:
-                out.pop(w, None)
-            else:
-                out[w] = new
-        result = Character.__new__(Character)
-        result.terms = out
-        return result
+            out[w] = out.get(w, 0) + m
+        return Character(out)
 
     def __sub__(self, other: "Character") -> "Character":
         return self + other.negate()
 
     def negate(self) -> "Character":
-        result = Character.__new__(Character)
-        result.terms = {w: -m for w, m in self.terms.items()}
-        return result
+        return Character({w: -m for w, m in self.terms.items()})
 
     def shift_x(self, m: int) -> "Character":
-        result = Character.__new__(Character)
-        result.terms = {w.shift_x(m): mult for w, mult in self.terms.items()}
-        return result
+        return Character({w.shift_x(m): mult for w, mult in self.terms.items()})
 
     def total_multiplicity(self) -> int:
         return sum(self.terms.values())
@@ -118,8 +109,10 @@ def geom_block(count: int) -> Character:
     return Character({TorusWeight((), -k): -1 for k in range(0, -count)})
 
 
-def pair_character(d: Tableau, d_prime: Tableau, n: int) -> Character:
-    """Character of the framed-homomorphism bundle over the fixed pair (d, d').
+def pair_counts(d: Tableau, d_prime: Tableau, n: int) -> dict[tuple[int, int, int], int]:
+    """Character of the framed-homomorphism bundle over the fixed pair (d, d')
+    as the count map (j, j', k) -> multiplicity of a_j - a_{j'} + k x, with
+    0-indexed j, j', x-only weights keyed (0, 0, k) and no zero multiplicity.
 
     The positive blocks come from maps of step i of d' into step i+1 of d,
     the negative blocks from maps into step i itself:
@@ -127,58 +120,55 @@ def pair_character(d: Tableau, d_prime: Tableau, n: int) -> Character:
         sum_{i=1}^{n-1} [ sum_{j<=i+1, j'<=i} e^{a_j - a_{j'}} G(d'_i^{j'} - d_{i+1}^j)
                         - sum_{j<=i,   j'<=i} e^{a_j - a_{j'}} G(d'_i^{j'} - d_i^j) ]
 
-    where G(N) is geom_block(N) and row n of d is zero by convention.  The
-    a-part uses torus coordinates a_j - a_{j'} throughout.
+    where G(N) is geom_block(N) and row n of d is zero by convention.
     """
     if d.n != n or d_prime.n != n:
         raise ValueError("tableaux must match the ambient rank n")
-    acc: dict[tuple[int, int, int], int] = {}    # (j, j', k) -> multiplicity
+    acc: dict[tuple[int, int, int], int] = {}
     rows = d.rows + ((0,) * n,)
     for i, sources in enumerate(d_prime.rows):
-        for j_prime, source in enumerate(sources, start=1):
+        for j_prime, source in enumerate(sources):
             # step i+1: +G into row i+2 of d, -G into row i+1
             for targets, sign in ((rows[i + 1], 1), (rows[i], -1)):
-                for j, target in enumerate(targets, start=1):
+                for j, target in enumerate(targets):
                     count = source - target
                     # G(N) = e^x + ... + e^{Nx}, G(0) = 0, G(-N) = -(e^0 + ... + e^{(1-N)x})
                     if count > 0:
                         ks, mult = range(1, count + 1), sign
                     else:
                         ks, mult = range(0, count, -1), -sign
-                    # every diagonal block has a-part 0, so they share (1, 1)
-                    a, b = (j, j_prime) if j != j_prime else (1, 1)
+                    # every diagonal block has a-part 0, so they share (0, 0)
+                    a, b = (j, j_prime) if j != j_prime else (0, 0)
                     for k in ks:
                         key = (a, b, k)
                         acc[key] = acc.get(key, 0) + mult
-    result = Character.__new__(Character)
-    result.terms = {pair_weight(j, j_prime, k, n): mult
-                    for (j, j_prime, k), mult in acc.items() if mult}
-    return result
+    return {key: mult for key, mult in acc.items() if mult}
 
 
-def weight_table(char: Character) -> tuple[int, ...]:
-    """Flatten a character over pair weights a_j - a_{j'} + k x into the tuple
-    (j, j', k, mult, j, j', k, mult, ...), 0-indexed, in sorted weight order
-    (x-only weights read j = j' = 0).  Raises InternalInconsistency on a
-    negative multiplicity or an a-part that is not a coordinate difference."""
+def pair_character(d: Tableau, d_prime: Tableau, n: int) -> Character:
+    """pair_counts as a Character over torus weights."""
+    return Character({pair_weight(j + 1, j_prime + 1, k, n): mult
+                      for (j, j_prime, k), mult in pair_counts(d, d_prime, n).items()})
+
+
+def weight_table(counts: dict[tuple[int, int, int], int]) -> tuple[int, ...]:
+    """Flatten a count map (see pair_counts) into the tuple
+    (j, j', k, mult, j, j', k, mult, ...) in sorted key order.  Raises
+    InternalInconsistency on a negative multiplicity."""
     flat = []
-    for w, mult in sorted(char.terms.items()):
-        a = w.a_coeffs
-        j = a.index(1) if 1 in a else 0
-        j_prime = a.index(-1) if -1 in a else 0
+    for key, mult in sorted(counts.items()):
         if mult < 0:
-            raise InternalInconsistency(f"negative multiplicity {mult} at weight {w}")
-        if sum(map(abs, a)) != 2 * (j != j_prime):
-            raise InternalInconsistency(f"weight {w} is not a pair weight")
-        flat += (j, j_prime, w.x_coeff, mult)
+            raise InternalInconsistency(
+                f"negative multiplicity {mult} at (j, j', k) = {key}")
+        flat += (*key, mult)
     return tuple(flat)
 
 
 def table_weights(table: tuple[int, ...], n: int) -> tuple[TorusWeight, ...]:
-    """Expand a flat weight table back into its sorted weight multiset."""
+    """Expand a flat weight table into its weight multiset, sorted as TorusWeights."""
     it = iter(table)
-    return tuple(w for j, j_prime, k, mult in zip(it, it, it, it)
-                 for w in [pair_weight(j + 1, j_prime + 1, k, n)] * mult)
+    return tuple(sorted(w for j, j_prime, k, mult in zip(it, it, it, it)
+                        for w in [pair_weight(j + 1, j_prime + 1, k, n)] * mult))
 
 
 @lru_cache(maxsize=8192)  # one key per fixed point: 5,931 at n=4 D=14
@@ -187,10 +177,10 @@ def tangent_table(d: Tableau, n: int) -> tuple[int, ...]:
     d.  The diagonal character must be a genuine representation of dimension
     2 * sum(degree) with no zero weight; anything else means a transcription
     bug in the block formula and raises InternalInconsistency."""
-    char = pair_character(d, d, n)
-    if x_weight(0, n) in char.terms:
+    counts = pair_counts(d, d, n)
+    if (0, 0, 0) in counts:
         raise InternalInconsistency(f"zero weight in tangent space of {d}")
-    table = weight_table(char)
+    table = weight_table(counts)
     size, expected = sum(table[3::4]), 2 * sum(d.degree())
     if size != expected:
         raise InternalInconsistency(

@@ -37,6 +37,11 @@ EXIT_USAGE = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: a flag a command lacks (properties --m) must not
+        # bind to a longer one (--max-degree)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -57,11 +62,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
 
-def _add_common(sub, trials=True):
+def _add_common(sub, verify=True):
+    """Flags shared by the verify-* commands; properties (verify=False) takes
+    neither --trials nor an explicit point."""
     sub.add_argument("--n", type=int, default=3, help="rank parameter (default 3)")
     sub.add_argument("--max-degree", type=int, default=4,
                      help="total-degree truncation D (default 4)")
-    if trials:
+    if verify:
         sub.add_argument("--trials", type=int, default=5,
                          help="number of sampled parameter points (default 5)")
     sub.add_argument("--seed", type=int, default=1,
@@ -69,6 +76,8 @@ def _add_common(sub, trials=True):
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted and ignored, kept for compatibility "
                           "(degrees are evaluated serially)")
+    if not verify:
+        return
     sub.add_argument("--a", type=str, default=None,
                      help="explicit zero-sum torus point, comma-separated rationals")
     sub.add_argument("--m", type=_parse_rational_arg, default=None,
@@ -113,7 +122,7 @@ def build_parser() -> _Parser:
     _add_common(toda_cmd)
 
     prop_cmd = commands.add_parser("properties", help="cross-module invariants")
-    _add_common(prop_cmd, trials=False)
+    _add_common(prop_cmd, verify=False)
 
     ins = commands.add_parser("inspect", help="dump exact data, no verdict")
     ins.add_argument("subject", choices=["fixed-points", "tangent-weights",

@@ -313,7 +313,7 @@ def root_exponential_product(n: int, pairs) -> Matrix:
 
 
 def all_ones_unitriangular(n: int) -> Matrix:
-    return Matrix([[Fraction(int(j >= i)) for j in range(n)] for i in range(n)])
+    return Matrix([[int(j >= i) for j in range(n)] for i in range(n)])
 
 
 def unipotent_product(n: int) -> Matrix:

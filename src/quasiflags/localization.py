@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .characters import (TorusWeight, pair_character, table_weights,
+from .characters import (TorusWeight, pair_counts, table_weights,
                          tangent_table, weight_table)
 from .errors import NonGenericParameter
 from .roots import check_zero_sum
@@ -91,9 +91,10 @@ def _products(table: tuple[int, ...], pt: ParameterPoint) -> tuple[int, int, int
 def weight_ratio(numerator: tuple[int, ...], denominator: tuple[int, ...],
                  pt: ParameterPoint) -> Fraction:
     """prod over the numerator table of (w + m x)^mult divided by the product
-    over the denominator table of w^mult (flat tables as built by
-    characters.weight_table).  Raises NonGenericParameter, naming the weight,
-    when a denominator weight vanishes."""
+    over the denominator table of w^mult (flat integer tables built by
+    characters.weight_table from pair_counts maps).  Raises
+    NonGenericParameter, naming the first vanishing denominator weight in
+    TorusWeight order, when one vanishes."""
     shifted, plain, dim = _products(denominator, pt)
     if plain == 0:
         w = next(w for w in table_weights(denominator, pt.n) if evaluate_weight(w, pt) == 0)
@@ -136,5 +137,5 @@ def chern_matrix_element(d_prime: Tableau, d: Tableau, pt: ParameterPoint) -> Fr
     chern_ratio.
     """
     n = pt.n
-    return weight_ratio(weight_table(pair_character(d_prime, d, n)),
+    return weight_ratio(weight_table(pair_counts(d_prime, d, n)),
                         tangent_table(d_prime, n), pt)

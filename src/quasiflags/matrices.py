@@ -1,8 +1,9 @@
 """Small exact matrices over the rationals.
 
 Just enough dense linear algebra for the unipotent-group and conjugation
-identities: products, commutators and exponentials of nilpotents, all over
-Fraction.
+identities: products, commutators and exponentials of nilpotents.  Integer
+entries stay int (they compare and hash equal to the same Fraction); every
+other entry becomes an exact Fraction.
 """
 
 from fractions import Fraction
@@ -14,7 +15,8 @@ class Matrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        rows = tuple(tuple(e if type(e) is int else Fraction(e) for e in row)
+                     for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -22,26 +24,25 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, n: int) -> "Matrix":
-        return cls([[Fraction(0)] * n for _ in range(n)])
+        return cls([[0] * n for _ in range(n)])
 
     @classmethod
     def unit(cls, i: int, j: int, n: int) -> "Matrix":
         """E_{i,j}: single 1 at row i, column j (1-indexed)."""
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"unit indices ({i}, {j}) out of range for n={n}")
-        return cls([[Fraction(int(r == i - 1 and c == j - 1)) for c in range(n)]
+        return cls([[int(r == i - 1 and c == j - 1) for c in range(n)]
                     for r in range(n)])
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
-        entries = [Fraction(e) for e in entries]
-        n = len(entries)
-        return cls([[entries[i] if i == j else Fraction(0) for j in range(n)]
-                    for i in range(n)])
+        entries = list(entries)
+        return cls([[e if i == j else 0 for j in range(len(entries))]
+                    for i, e in enumerate(entries)])
 
     @property
     def size(self) -> int:

@@ -82,10 +82,6 @@ class Series:
     def one(cls, rank: int, truncation: int) -> "Series":
         return cls(rank, truncation, {(0,) * rank: Fraction(1)})
 
-    @classmethod
-    def zero(cls, rank: int, truncation: int) -> "Series":
-        return cls(rank, truncation, {})
-
     def coefficient(self, gamma) -> Fraction:
         gamma = check_degree_vector(gamma, self.rank)
         return self.coeffs.get(gamma, Fraction(0))
@@ -94,31 +90,10 @@ class Series:
         """Sorted (degree vector, coefficient) pairs, ordered by (total, lex)."""
         return sorted(self.coeffs.items(), key=lambda kv: (total_degree(kv[0]), kv[0]))
 
-    def truncate(self, degree: int) -> "Series":
-        degree = min(degree, self.truncation)
-        kept = {g: c for g, c in self.coeffs.items() if total_degree(g) <= degree}
-        return Series(self.rank, degree, kept)
-
-    def __add__(self, other: "Series") -> "Series":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch in series addition")
-        trunc = min(self.truncation, other.truncation)
-        out = dict(self.truncate(trunc).coeffs)
-        for g, c in other.coeffs.items():
-            if total_degree(g) <= trunc:
-                out[g] = out.get(g, Fraction(0)) + c
-        return Series(self.rank, trunc, out)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self + other.scale(Fraction(-1))
-
     def scale(self, factor) -> "Series":
         factor = Fraction(factor)
         return Series(self.rank, self.truncation,
                       {g: factor * c for g, c in self.coeffs.items()})
-
-    def __mul__(self, other: "Series") -> "Series":
-        return series_mul(self, other, min(self.truncation, other.truncation))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):

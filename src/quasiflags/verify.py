@@ -10,7 +10,7 @@ byte-reproducible from its seed and flags alone.
 
 from fractions import Fraction
 
-from .characters import pair_character, shift_defect, tangent_table, weight_table
+from .characters import pair_counts, shift_defect, tangent_table, weight_table
 from .errors import InternalInconsistency, NonGenericParameter, ResonantParameter
 from .eigenfunctions import (apply_cs_operator, cs_coefficients,
                              cs_product_series, toda_coefficients,
@@ -236,14 +236,14 @@ def _character_record(n, max_degree) -> dict:
         for d in tabs:
             for dp in tabs:
                 pairs += 1
-                char = pair_character(d, dp, nn)
-                total = char.total_multiplicity()
+                counts = pair_counts(d, dp, nn)
+                total = sum(counts.values())
                 expected = sum(d.degree()) + sum(dp.degree())
                 if total != expected:
                     witnesses.append(f"n={nn} rank {total} != {expected} at "
                                      f"({d.as_flat_list()}, {dp.as_flat_list()})")
-                try:  # rejects negative multiplicities and non-difference a-parts
-                    weight_table(char)
+                try:  # rejects negative multiplicities
+                    weight_table(counts)
                 except InternalInconsistency as exc:
                     witnesses.append(f"n={nn} at ({d.as_flat_list()}, "
                                      f"{dp.as_flat_list()}): {exc}")
@@ -285,10 +285,10 @@ def twist_constant(n: int, m: int, pt: ParameterPoint) -> Fraction:
     the zero pair.  Raises NonGenericParameter when a defect weight vanishes
     (these are the poles of y)."""
     zero = Tableau.zero(n)
-    # the zero pair's own pair character is empty, so its defect is minus a
-    # genuine character (weight_table rejects anything else)
-    poles = shift_defect(zero, zero, m, n).negate()
-    return weight_ratio((), weight_table(poles), pt)
+    # the zero pair's own pair character is empty, so its defect is minus the
+    # genuine character of the pair (zero, zero + m); weight_table rejects
+    # anything else
+    return weight_ratio((), weight_table(pair_counts(zero, zero.shift(m), n)), pt)
 
 
 def _twist_ratio_record(n, rng) -> dict:

@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import quasiflags.characters as characters
 from quasiflags.characters import (Character, TorusWeight, geom_block,
-                                   pair_character, pair_weight, shift_defect,
-                                   tangent_weights, x_weight)
+                                   pair_character, pair_counts, pair_weight,
+                                   shift_defect, tangent_table, tangent_weights,
+                                   weight_table)
 from quasiflags.errors import InternalInconsistency
 from quasiflags.series import degree_vectors
 from quasiflags.tableaux import Tableau, enumerate_fixed_points
@@ -81,7 +83,7 @@ def test_tangent_weights_basics():
     assert tangent_weights(Tableau.zero(3), 3) == ()
     d = Tableau([(1,)])
     assert sorted(tangent_weights(d, 2)) == sorted(
-        (x_weight(1, 2), TorusWeight((-1, 1), 1)))
+        (TorusWeight((0, 0), 1), TorusWeight((-1, 1), 1)))
     d3 = Tableau([(1,), (0, 0)])
     assert len(tangent_weights(d3, 3)) == 2
 
@@ -171,3 +173,57 @@ def test_pair_character_matches_block_reference(case):
     char = pair_character(d, d_prime, n)
     assert char == reference_pair_character(d, d_prime, n)
     assert 0 not in char.terms.values()
+
+
+# -- differential test of the integer count map ------------------------------
+
+def parsed_rows(char):
+    """(j, j', k, mult) rows read back from a Character by parsing each
+    TorusWeight's a-part (0-indexed; x-only weights read j = j' = 0): an
+    oracle for the count-map tables that never sees pair_counts' keys."""
+    rows = []
+    for w, mult in char.terms.items():
+        a = w.a_coeffs
+        j = a.index(1) if 1 in a else 0
+        j_prime = a.index(-1) if -1 in a else 0
+        assert sum(map(abs, a)) == 2 * (j != j_prime), w
+        rows.append((j, j_prime, w.x_coeff, mult))
+    return sorted(rows)
+
+
+def table_rows(table):
+    it = iter(table)
+    return sorted(zip(it, it, it, it))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tableau_pairs())
+def test_weight_tables_match_parsed_characters(case):
+    n, d, d_prime = case
+    assert 0 not in pair_counts(d, d_prime, n).values()
+    assert table_rows(weight_table(pair_counts(d, d_prime, n))) == \
+        parsed_rows(pair_character(d, d_prime, n))
+    for t in (d, d_prime):
+        assert table_rows(tangent_table(t, n)) == parsed_rows(pair_character(t, t, n))
+        # the public edge keeps TorusWeight sort order
+        assert tangent_weights(t, n) == tuple(pair_character(t, t, n).weights())
+
+
+def test_weight_table_rejects_negative_multiplicity():
+    with pytest.raises(InternalInconsistency):
+        weight_table({(0, 1, 2): 1, (1, 0, 0): -1})
+
+
+@pytest.mark.parametrize("counts", [
+    {(0, 0, 0): 1, (0, 0, 1): 1},   # a zero weight
+    {(0, 0, 1): 1},                 # one weight where two are due
+])
+def test_tangent_table_rejects_corrupt_counts(monkeypatch, counts):
+    characters.clear_caches()
+    monkeypatch.setattr(characters, "pair_counts", lambda d, d_prime, n: dict(counts))
+    try:
+        with pytest.raises(InternalInconsistency):
+            tangent_table(Tableau([(1,)]), 2)
+    finally:
+        monkeypatch.undo()
+        characters.clear_caches()

@@ -131,6 +131,8 @@ def test_inspect_series_denominator(capsys):
     ["verify-main", "--max-degree", "-1"],
     ["verify-toda", "--trials", "0"],
     ["properties", "--n", "1"],
+    ["properties", "--a", "garbage"],
+    ["properties", "--m", "1"],
 ])
 def test_usage_errors_exit_3_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:

@@ -23,13 +23,33 @@ GOLDEN = [
      "e955d71a8ce88701443bb521b813e6cde4da69ede97f8099c411573f36814a83"),
     ("inspect character --n 3 --tableau 1,0,1 --tableau2 1,1,0",
      "e922ba543705b3c41a62aa0f0385786cf5cde283169182477eeda3604b8de373"),
+    ("inspect tangent-weights --n 3 --tableau 2,1,1 --a 5,1,-6",
+     "c8a09d2e28d8d561499244c9e5a7abc7ff232b1e06213c1d5148bb4d12eda04d"),
 ]
+
+# the first vanishing weight is named in TorusWeight order
+NON_GENERIC_STDERR = (
+    "genericity exhausted: explicit point is not generic: weight "
+    "TorusWeight(a_coeffs=(-1, 1, 0), x_coeff=0) vanishes at ParameterPoint("
+    "a=(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), x=Fraction(1, 1), "
+    "m=Fraction(1, 1))\n")
+
+
+def _run(command, check):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "quasiflags", *command.split()],
+                          capture_output=True, env=env, check=check)
 
 
 @pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_report_bytes_are_pinned(command, digest):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-m", "quasiflags", *command.split()],
-                         capture_output=True, env=env, check=True)
+    run = _run(command, check=True)
     assert hashlib.sha256(run.stdout).hexdigest() == digest
+
+
+def test_non_generic_point_message_is_pinned():
+    run = _run("verify-main --n 3 --max-degree 2 --a 0,0,0 --m 1", check=False)
+    assert run.returncode == 2
+    assert run.stdout == b""
+    assert run.stderr.decode() == NON_GENERIC_STDERR

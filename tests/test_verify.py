@@ -5,7 +5,6 @@ import pytest
 
 import quasiflags.characters as characters
 import quasiflags.verify as verify
-from quasiflags.characters import Character, TorusWeight
 from quasiflags.errors import NonGenericParameter
 from quasiflags.localization import ParameterPoint
 from quasiflags.sampling import SplitMix64
@@ -59,20 +58,16 @@ def test_reports_are_deterministic_and_worker_invariant():
     assert base != other_seed
 
 
-def _transposed_pair_character(original):
+def _transposed_pair_counts(original):
     def flipped(d, d_prime, n):
-        char = original(d, d_prime, n)
-        mirrored = {TorusWeight(tuple(-c for c in w.a_coeffs), w.x_coeff): m
-                    for w, m in char.terms.items()}
-        return Character(mirrored)
+        return {(j_prime, j, k): m for (j, j_prime, k), m in original(d, d_prime, n).items()}
     return flipped
 
 
 def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch):
-    original = characters.pair_character
+    original = characters.pair_counts
     characters.clear_caches()
-    monkeypatch.setattr(characters, "pair_character",
-                        _transposed_pair_character(original))
+    monkeypatch.setattr(characters, "pair_counts", _transposed_pair_counts(original))
     try:
         report = verify_main(2, 4, trials=1, seed=5)
         assert report["verdict"] == "fail"
