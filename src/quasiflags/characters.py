@@ -11,7 +11,9 @@ localization denominator.
 Internally a character is an integer count map (j, j', k) -> multiplicity of
 a_j - a_{j'} + k x (pair_counts), flattened into weight tables for the
 localization kernel; Character and TorusWeight are built from it only for
-the public API.
+the public API.  The blocks of flag step i depend only on the rows d'_i, d_i
+and d_{i+1}, so pair_counts sums one cached count map per step
+(step_counts), and pairs that share rows share the work.
 """
 
 from functools import lru_cache
@@ -48,11 +50,7 @@ class Character:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[TorusWeight, int] = {}
-        for w, mult in (terms or {}).items():
-            if mult != 0:
-                clean[w] = int(mult)
-        self.terms = clean
+        self.terms = {w: int(mult) for w, mult in (terms or {}).items() if mult != 0}
 
     def __add__(self, other: "Character") -> "Character":
         out = dict(self.terms)
@@ -61,10 +59,7 @@ class Character:
         return Character(out)
 
     def __sub__(self, other: "Character") -> "Character":
-        return self + other.negate()
-
-    def negate(self) -> "Character":
-        return Character({w: -m for w, m in self.terms.items()})
+        return self + Character({w: -m for w, m in other.terms.items()})
 
     def shift_x(self, m: int) -> "Character":
         return Character({w.shift_x(m): mult for w, mult in self.terms.items()})
@@ -109,39 +104,50 @@ def geom_block(count: int) -> Character:
     return Character({TorusWeight((), -k): -1 for k in range(0, -count)})
 
 
+@lru_cache(maxsize=8192)  # n^2 (2e + 1) keys for entries <= e: 3,136 at n=8, e=24
+def _key(a: int, b: int, k: int) -> tuple[int, int, int]:
+    """One shared (j, j', k) tuple per key, so cached blocks hold references."""
+    return (a, b, k)
+
+
+@lru_cache(maxsize=4096)  # 1,716 keys at n=3 D=24, 1,156 in the character record
+def step_counts(sources: tuple[int, ...], upper: tuple[int, ...], lower: tuple[int, ...]
+                ) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """Count map of flag step i, from sources = d'_i, upper = d_i and lower =
+    d_{i+1}, as the immutable pair (keys, mults) without zeros:
+
+        sum_{j<=i+1, j'<=i} e^{a_j - a_{j'}} G(d'_i^{j'} - d_{i+1}^j)
+      - sum_{j<=i,   j'<=i} e^{a_j - a_{j'}} G(d'_i^{j'} - d_i^j),  G = geom_block
+    """
+    acc: dict[tuple[int, int, int], int] = {}
+    for j_prime, s in enumerate(sources):
+        # G(s - l) - G(s - u) sums e^{kx} over the oriented interval
+        # s - u < k <= s - l; the last l has no u, and G(s - s) = 0
+        for j, (u, l) in enumerate(zip(upper + (s,), lower)):
+            lo, hi = s - u, s - l
+            ks, mult = (range(lo + 1, hi + 1), 1) if lo <= hi else (range(hi + 1, lo + 1), -1)
+            # every diagonal block has a-part 0, so they share (0, 0)
+            a, b = (j, j_prime) if j != j_prime else (0, 0)
+            for k in ks:
+                key = (a, b, k)
+                acc[key] = acc.get(key, 0) + mult
+    return (tuple(_key(*key) for key, mult in acc.items() if mult),
+            tuple(mult for mult in acc.values() if mult))
+
+
 def pair_counts(d: Tableau, d_prime: Tableau, n: int) -> dict[tuple[int, int, int], int]:
     """Character of the framed-homomorphism bundle over the fixed pair (d, d')
-    as the count map (j, j', k) -> multiplicity of a_j - a_{j'} + k x, with
-    0-indexed j, j', x-only weights keyed (0, 0, k) and no zero multiplicity.
-
-    The positive blocks come from maps of step i of d' into step i+1 of d,
-    the negative blocks from maps into step i itself:
-
-        sum_{i=1}^{n-1} [ sum_{j<=i+1, j'<=i} e^{a_j - a_{j'}} G(d'_i^{j'} - d_{i+1}^j)
-                        - sum_{j<=i,   j'<=i} e^{a_j - a_{j'}} G(d'_i^{j'} - d_i^j) ]
-
-    where G(N) is geom_block(N) and row n of d is zero by convention.
+    as a fresh count map (j, j', k) -> multiplicity of a_j - a_{j'} + k x, with
+    0-indexed j, j', x-only weights keyed (0, 0, k) and no zero multiplicity:
+    the sum over steps i of step_counts(d'_i, d_i, d_{i+1}), with d_n = 0.
     """
     if d.n != n or d_prime.n != n:
         raise ValueError("tableaux must match the ambient rank n")
     acc: dict[tuple[int, int, int], int] = {}
     rows = d.rows + ((0,) * n,)
     for i, sources in enumerate(d_prime.rows):
-        for j_prime, source in enumerate(sources):
-            # step i+1: +G into row i+2 of d, -G into row i+1
-            for targets, sign in ((rows[i + 1], 1), (rows[i], -1)):
-                for j, target in enumerate(targets):
-                    count = source - target
-                    # G(N) = e^x + ... + e^{Nx}, G(0) = 0, G(-N) = -(e^0 + ... + e^{(1-N)x})
-                    if count > 0:
-                        ks, mult = range(1, count + 1), sign
-                    else:
-                        ks, mult = range(0, count, -1), -sign
-                    # every diagonal block has a-part 0, so they share (0, 0)
-                    a, b = (j, j_prime) if j != j_prime else (0, 0)
-                    for k in ks:
-                        key = (a, b, k)
-                        acc[key] = acc.get(key, 0) + mult
+        for key, mult in zip(*step_counts(sources, rows[i], rows[i + 1])):
+            acc[key] = acc.get(key, 0) + mult
     return {key: mult for key, mult in acc.items() if mult}
 
 
@@ -208,5 +214,6 @@ def shift_defect(d: Tableau, d_prime: Tableau, m: int, n: int) -> Character:
 
 
 def clear_caches():
-    """Reset memoized tangent data (used by fault-injection tests)."""
+    """Reset memoized step blocks and tangent data (used by fault-injection tests)."""
+    step_counts.cache_clear()
     tangent_table.cache_clear()

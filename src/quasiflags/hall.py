@@ -305,10 +305,12 @@ def check_product_identity(left: QuiverRepClass, right: QuiverRepClass, n: int) 
 # -- closed multiplicative identities ----------------------------------------
 
 def root_exponential_product(n: int, pairs) -> Matrix:
-    """Product of exp(E_{i,j}) over the given root index pairs, in order."""
+    """Product of exp(E_{i,j}) = I + E_{i,j} (i != j) over the root index pairs, in order."""
     result = Matrix.identity(n)
     for i, j in pairs:
-        result = result * Matrix.unit(i, j, n).exp_nilpotent()
+        if i == j:
+            raise ValueError(f"E_{{{i},{i}}} is not nilpotent")
+        result = result * (Matrix.identity(n) + Matrix.unit(i, j, n))
     return result
 
 

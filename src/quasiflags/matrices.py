@@ -1,12 +1,17 @@
 """Small exact matrices over the rationals.
 
 Just enough dense linear algebra for the unipotent-group and conjugation
-identities: products, commutators and exponentials of nilpotents.  Integer
-entries stay int (they compare and hash equal to the same Fraction); every
-other entry becomes an exact Fraction.
+identities: sums, products and commutators.  Every integral entry is stored
+as an int (it compares and hashes equal to the same Fraction), every other
+entry as an exact Fraction.
 """
 
 from fractions import Fraction
+
+
+def _exact(e):
+    e = Fraction(e)
+    return e.numerator if e.denominator == 1 else e
 
 
 class Matrix:
@@ -15,7 +20,7 @@ class Matrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(e if type(e) is int else Fraction(e) for e in row)
+        rows = tuple(tuple(e if type(e) is int else _exact(e) for e in row)
                      for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
@@ -74,22 +79,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.rows for e in row)
-
-    def exp_nilpotent(self) -> "Matrix":
-        """exp of a nilpotent matrix as the finite sum of powers."""
-        n = self.size
-        result = Matrix.identity(n)
-        power = Matrix.identity(n)
-        factorial = 1
-        for k in range(1, n + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            factorial *= k
-            result = result + power.scale(Fraction(1, factorial))
-        else:
-            raise ValueError("matrix is not nilpotent")
-        return result
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows

@@ -231,14 +231,14 @@ def _character_record(n, max_degree) -> dict:
     witnesses = []
     pairs = 0
     for nn in range(2, n + 1):
-        tabs = [t for g in degree_vectors(nn - 1, bound)
+        tabs = [(t, sum(t.degree())) for g in degree_vectors(nn - 1, bound)
                 for t in enumerate_fixed_points(nn, g)]
-        for d in tabs:
-            for dp in tabs:
+        for d, size in tabs:
+            for dp, size_p in tabs:
                 pairs += 1
                 counts = pair_counts(d, dp, nn)
                 total = sum(counts.values())
-                expected = sum(d.degree()) + sum(dp.degree())
+                expected = size + size_p
                 if total != expected:
                     witnesses.append(f"n={nn} rank {total} != {expected} at "
                                      f"({d.as_flat_list()}, {dp.as_flat_list()})")
@@ -247,7 +247,7 @@ def _character_record(n, max_degree) -> dict:
                 except InternalInconsistency as exc:
                     witnesses.append(f"n={nn} at ({d.as_flat_list()}, "
                                      f"{dp.as_flat_list()}): {exc}")
-        for d in tabs:
+        for d, _ in tabs:
             try:
                 tangent_table(d, nn)  # raises on zero weight or bad size
             except InternalInconsistency as exc:

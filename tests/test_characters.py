@@ -175,6 +175,54 @@ def test_pair_character_matches_block_reference(case):
     assert 0 not in char.terms.values()
 
 
+# -- differential test of the step-block pair_counts -------------------------
+
+def direct_pair_counts(d, d_prime, n):
+    """The block formula as one loop over (step, source, target): every block
+    G(source - target) is added key by key, without step caching."""
+    acc = {}
+    rows = d.rows + ((0,) * n,)
+    for i, sources in enumerate(d_prime.rows):
+        for j_prime, source in enumerate(sources):
+            for targets, sign in ((rows[i + 1], 1), (rows[i], -1)):
+                for j, target in enumerate(targets):
+                    count = source - target
+                    if count > 0:
+                        ks, mult = range(1, count + 1), sign
+                    else:
+                        ks, mult = range(0, count, -1), -sign
+                    a, b = (j, j_prime) if j != j_prime else (0, 0)
+                    for k in ks:
+                        acc[(a, b, k)] = acc.get((a, b, k), 0) + mult
+    return {key: mult for key, mult in acc.items() if mult}
+
+
+@st.composite
+def shifted_pairs_of_different_degrees(draw):
+    n = draw(st.integers(2, 6))
+    top = 3 if n <= 4 else 2
+    gamma = tuple(draw(st.integers(0, top)) for _ in range(n - 1))
+    other = draw(st.tuples(*[st.integers(0, top)] * (n - 1)).filter(lambda g: g != gamma))
+    d = draw(st.sampled_from(enumerate_fixed_points(n, gamma)))
+    d_prime = draw(st.sampled_from(enumerate_fixed_points(n, other)))
+    # shift_defect pairs a tableau with a shifted one
+    return n, d.shift(draw(st.integers(0, 3))), d_prime
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shifted_pairs_of_different_degrees())
+def test_step_block_pair_counts_match_direct_loop(case):
+    n, d, d_prime = case
+    for first, second in ((d, d_prime), (d_prime, d), (d, d)):
+        expected = direct_pair_counts(first, second, n)
+        counts = pair_counts(first, second, n)
+        assert counts == expected
+        # the returned map is the caller's own: mutating it leaves the cache intact
+        counts.clear()
+        counts[(0, 0, 0)] = 7
+        assert pair_counts(first, second, n) == expected
+
+
 # -- differential test of the integer count map ------------------------------
 
 def parsed_rows(char):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -204,6 +205,35 @@ def test_ascending_order_breaks_identity():
     for n in (3, 4, 5):
         ascending = list(reversed(positive_root_pairs_descending(n)))
         assert root_exponential_product(n, ascending) != all_ones_unitriangular(n)
+
+
+def exp_series(m):
+    """exp of a nilpotent matrix as the finite series sum_k m^k / k!."""
+    n = m.size
+    result, power = Matrix.identity(n), Matrix.identity(n)
+    for k in range(1, n + 1):
+        power = power * m.scale(Fraction(1, k))
+        result = result + power
+    return result
+
+
+def test_root_exponentials_match_exponential_series():
+    rng = random.Random(12)
+    for n in range(2, 7):
+        descending = positive_root_pairs_descending(n)
+        shuffled = rng.sample(descending, len(descending))
+        for pairs in (descending, list(reversed(descending)), shuffled):
+            expected = Matrix.identity(n)
+            for i, j in pairs:
+                expected = expected * exp_series(E(i, j, n))
+            product = root_exponential_product(n, pairs)
+            assert product == expected
+            assert all(type(e) is int for row in product.rows for e in row)
+
+
+def test_root_exponential_rejects_diagonal_unit():
+    with pytest.raises(ValueError):
+        root_exponential_product(3, [(2, 2)])
 
 
 def test_conjugator_n2_entry():

@@ -18,6 +18,12 @@ def test_non_int_entries_become_exact_fractions():
     assert Matrix([["2/3"]]).rows[0][0] == Fraction(2, 3)
 
 
+def test_integral_fractions_become_int():
+    two = Matrix([[Fraction(4, 2)]]).rows[0][0]
+    assert type(two) is int and two == 2
+    assert Matrix.identity(2).scale(Fraction(3, 3)).rows == ((1, 0), (0, 1))
+
+
 def test_constructors_keep_int_entries():
     for m in (Matrix.unit(2, 1, 3), Matrix.identity(3), Matrix.zero(3)):
         assert all(type(e) is int for row in m.rows for e in row)

@@ -21,6 +21,12 @@ GOLDEN = [
      "fc6151e5602722ef31bbcbc8dd6d167921e070bcef34239cda47f30a029c5fd8"),
     ("properties --n 3 --max-degree 3 --seed 3",
      "e955d71a8ce88701443bb521b813e6cde4da69ede97f8099c411573f36814a83"),
+    # the benchmark's properties command
+    ("properties --n 4 --max-degree 5 --seed 3",
+     "cf45784f67bb4c0c455e2752651d98316e8585131e4bfa273eb95a1bb39b6acb"),
+    # n=8: many fixed points share flag-step rows
+    ("verify-main --n 8 --max-degree 3 --trials 1 --seed 1",
+     "ed4c181f327ebbe10673f121263f9751f217a8d29ffb5c9153485ecb4f8ea7ec"),
     ("inspect character --n 3 --tableau 1,0,1 --tableau2 1,1,0",
      "e922ba543705b3c41a62aa0f0385786cf5cde283169182477eeda3604b8de373"),
     ("inspect tangent-weights --n 3 --tableau 2,1,1 --a 5,1,-6",
