@@ -27,6 +27,18 @@ GOLDEN = [
     # n=8: many fixed points share flag-step rows
     ("verify-main --n 8 --max-degree 3 --trials 1 --seed 1",
      "ed4c181f327ebbe10673f121263f9751f217a8d29ffb5c9153485ecb4f8ea7ec"),
+    # generic points where a flag-step factor has a local pole
+    ("verify-main --n 8 --max-degree 3 --trials 1 --seed 8",
+     "6705515cbad937c3c6882bd7deae810b0bc1528a032f0742bc779d1e58912770"),
+    ("verify-main --n 4 --max-degree 5 --trials 2 --seed 11",
+     "97680f9fd880c0d50d0ff2a8f80d98084b996058cd731de0f4059514245ec2d6"),
+    ("verify-toda --n 4 --max-degree 6 --trials 2 --seed 11",
+     "5bb75761c06648be807f7c48278717afa77f9751e37fffd3a58f48506d8eaa8d"),
+    # one non-generic point resampled
+    ("verify-main --n 3 --max-degree 6 --trials 2 --seed 52",
+     "c2d6aad3c34b3225777eccbd766e87d7c06e28b7ece6c1f840d57d6dcc214f7e"),
+    ("verify-toda --n 4 --max-degree 6 --trials 2 --seed 12",
+     "ad59fe54e768efbed87c69e31cf5c870a68b45044120ac81a4645253797a564c"),
     ("inspect character --n 3 --tableau 1,0,1 --tableau2 1,1,0",
      "e922ba543705b3c41a62aa0f0385786cf5cde283169182477eeda3604b8de373"),
     ("inspect tangent-weights --n 3 --tableau 2,1,1 --a 5,1,-6",
