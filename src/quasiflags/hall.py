@@ -18,7 +18,7 @@ turning that matrix times a diagonal into the diagonal again.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product as iter_product
+from itertools import accumulate, combinations, product as iter_product
 from math import factorial
 
 from .errors import NonGenericParameter
@@ -346,6 +346,15 @@ def conjugator_matrix(t) -> Matrix:
     return Matrix(rows)
 
 
+def _conjugates(x: Matrix, t) -> bool:
+    """x * g * diag(t) == diag(t) * x with g the all-ones unitriangular
+    matrix, entry by entry: x * g holds the row prefix sums of x, and diag(t)
+    scales the columns on the right and the rows on the left."""
+    return all(t_j * total == t_i * entry
+               for t_i, row in zip(t, x.rows)
+               for t_j, total, entry in zip(t, accumulate(row), row))
+
+
 def conjugator_check(n: int, t) -> dict:
     """Exact check of the two conjugator identities at the scale point t.
 
@@ -360,9 +369,7 @@ def conjugator_check(n: int, t) -> dict:
     if len(t) != n:
         raise ValueError(f"expected {n} entries, got {len(t)}")
     x = conjugator_matrix(t)
-    g = all_ones_unitriangular(n)
-    diag = Matrix.diagonal(t)
-    conj_ok = (x * g * diag == diag * x)
+    conj_ok = _conjugates(x, t)
     ones = [Fraction(1)] * n
     prod_entries = Fraction(1)
     for e in x.apply(ones):

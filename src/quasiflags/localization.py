@@ -2,22 +2,35 @@
 
 Every integral in the package reduces, by the fixed-point formula, to a sum
 over tableaux of products of linear forms in (a_1, ..., a_n, x) evaluated at
-an exact rational parameter point, all through one kernel, weight_ratio.
-Scaled by the lcm L of the denominators of a/x and m, each weight becomes an
-integer, so a fixed point's product of weights costs one Fraction; nothing is
-expanded into polynomials.  A vanishing denominator weight is reported as
-NonGenericParameter so the caller can resample the point.
+an exact rational parameter point.  Scaled by the lcm L of the denominators
+of a/x and m, each weight becomes an integer, so a product of weights costs
+one Fraction; nothing is expanded into polynomials.  A vanishing denominator
+weight is reported as NonGenericParameter so the caller can resample the
+point.
+
+There are two evaluations of the same sums.  The per-point kernel,
+weight_ratio, serves single coefficients (chern_series_coefficient,
+volume_coefficient), matrix elements and the property checks.  The
+verification runs need every coefficient with |gamma| <= D at once, and
+there the tangent character factors over flag steps, each step depending on
+two consecutive rows only; chern_series_coefficients and volume_coefficients
+sum those step factors along a row-transfer graph, with no fixed point
+enumerated and no tangent table built, and fall back to the kernel at the
+degrees a local pole of a step factor reaches.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import product
 
+from . import characters
 from .characters import (TorusWeight, pair_counts, table_weights,
                          tangent_table, weight_table)
-from .errors import NonGenericParameter
+from .errors import InternalInconsistency, NonGenericParameter
 from .roots import check_zero_sum
+from .series import degree_vectors
 from .tableaux import Tableau, enumerate_fixed_points
 
 
@@ -139,3 +152,125 @@ def chern_matrix_element(d_prime: Tableau, d: Tableau, pt: ParameterPoint) -> Fr
     n = pt.n
     return weight_ratio(weight_table(pair_counts(d_prime, d, n)),
                         tangent_table(d_prime, n), pt)
+
+
+@lru_cache(maxsize=16)  # one key per (n, D) verified in a process
+def _transfer_table(n: int, max_degree: int):
+    """Row-transfer graph of the fixed points of every degree |gamma| <= D,
+    read top-down.  A state after row i is (row sums so far, row i); row i+1
+    has i+2 entries, the first i+1 at most the entries above them and the
+    last free, with the running total <= D.  Every state completes (by zero
+    rows), so no state is dead, and the paths are the fixed points.
+
+    Returns (gammas, steps, layers, ends): the degrees in degree_vectors
+    order, the distinct flag steps (upper, lower), per row after row 0
+    (whose states are the D + 1 rows (e,)) its state count and its
+    transitions (source, step, target), and per state of the last row
+    (gamma index, step) for its step onto the zero row."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    steps: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    states = [((e,), (e,)) for e in range(max_degree + 1)]
+    layers = []
+    for _ in range(n - 2):
+        index: dict = {}
+        moves = []
+        for source, (sums, upper) in enumerate(states):
+            for head in product(*(range(u + 1) for u in upper)):
+                room = max_degree - sum(sums) - sum(head)
+                for last in range(room + 1):
+                    lower = head + (last,)
+                    target = index.setdefault((sums + (sum(lower),), lower), len(index))
+                    moves.append((source, steps.setdefault((upper, lower), len(steps)),
+                                  target))
+        layers.append((len(index), tuple(moves)))
+        states = list(index)
+    gammas = tuple(degree_vectors(n - 1, max_degree))
+    position = {g: i for i, g in enumerate(gammas)}
+    zero = (0,) * n
+    ends = tuple((position[sums], steps.setdefault((upper, zero), len(steps)))
+                 for sums, upper in states)
+    return gammas, tuple(steps), tuple(layers), ends
+
+
+def _step_factor(upper: tuple[int, ...], lower: tuple[int, ...], pt: ParameterPoint,
+                 chern: bool) -> Fraction | None:
+    """Diagonal flag step upper -> lower at the point: prod ((V + M)/V)^mult
+    (chern) or prod (1/V)^mult over the step's signed count map, V = L/x
+    times the weight, as one exact Fraction; None when its denominator
+    vanishes.  Raises InternalInconsistency on a zero weight or on a total
+    multiplicity other than U + (i+1)(U - L), U and L the row sums and i
+    the step index; summed over the steps that is 2|d|."""
+    keys, mults = characters.step_counts(upper, upper, lower)
+    size = sum(mults)
+    expected = sum(upper) + len(upper) * (sum(upper) - sum(lower))
+    if (0, 0, 0) in keys:
+        raise InternalInconsistency(f"zero weight in flag step {upper} -> {lower}")
+    if size != expected:
+        raise InternalInconsistency(
+            f"flag step {upper} -> {lower} has multiplicity {size}, expected {expected}")
+    u, scale, shift = pt.integer_scaling
+    top = bottom = 1
+    for (j, j_prime, k), mult in zip(keys, mults):
+        value = u[j] - u[j_prime] + k * scale
+        other = value + shift if chern else 1
+        if mult > 0:
+            top *= other ** mult
+            bottom *= value ** mult
+        else:
+            top *= value ** -mult
+            bottom *= other ** -mult
+    return Fraction(top, bottom) if bottom else None
+
+
+def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> list[Fraction]:
+    """Every Chern (chern) or volume coefficient with |gamma| <= D, in
+    degree_vectors order, as path sums of step factors over _transfer_table.
+
+    A step factor whose denominator vanishes poisons every degree reached
+    through it, and each poisoned degree falls back, in degree order, to the
+    per-point kernel at that degree alone.  That is exact: a tangent weight
+    of positive multiplicity sits with positive multiplicity in some step's
+    denominator, so where no step denominator vanishes no tangent weight
+    does, and a vanishing step numerator is a genuine zero.  Every
+    non-generic degree is thus poisoned, and the kernel raises there with
+    its own NonGenericParameter."""
+    gammas, steps, layers, ends = _transfer_table(n, max_degree)
+    factors = [_step_factor(upper, lower, pt, chern) for upper, lower in steps]
+    values, poisoned = [1] * (max_degree + 1), [False] * (max_degree + 1)
+    for count, moves in layers:
+        sums, hit = [0] * count, [False] * count
+        for source, step, target in moves:
+            factor = factors[step]
+            if factor is None or poisoned[source]:
+                hit[target] = True
+            else:
+                sums[target] += values[source] * factor
+        values, poisoned = sums, hit
+    out = [Fraction(0)] * len(gammas)
+    fallback = set()
+    for (g, step), value, hit in zip(ends, values, poisoned):
+        if factors[step] is None or hit:
+            fallback.add(g)
+        else:
+            out[g] += value * factors[step]
+    if not chern:
+        ratio = pt.integer_scaling[1] / pt.x
+        out = [value * ratio ** (2 * sum(g)) for g, value in zip(gammas, out)]
+    kernel = chern_series_coefficient if chern else volume_coefficient
+    for g in sorted(fallback):
+        out[g] = kernel(n, gammas[g], pt)
+    return out
+
+
+def chern_series_coefficients(n: int, max_degree: int, pt: ParameterPoint) -> list[Fraction]:
+    """chern_series_coefficient at every gamma of degree_vectors(n - 1,
+    max_degree), in that order, by one row-transfer pass (see _row_transfer)."""
+    return _row_transfer(n, max_degree, pt, chern=True)
+
+
+def volume_coefficients(n: int, max_degree: int, pt: ParameterPoint) -> list[Fraction]:
+    """volume_coefficient at every gamma of degree_vectors(n - 1, max_degree),
+    in that order, by one row-transfer pass: the step factors have an empty
+    numerator, and each degree is scaled by (L/x)^(2|gamma|)."""
+    return _row_transfer(n, max_degree, pt, chern=False)

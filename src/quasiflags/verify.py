@@ -19,8 +19,8 @@ from .hall import (QuiverRepClass, all_ones_unitriangular, check_product_identit
                    conjugator_check, hall_count, indecomposable_matrix,
                    root_exponential_product, unipotent_product)
 from .localization import (ParameterPoint, chern_matrix_element,
-                           chern_series_coefficient, volume_coefficient,
-                           weight_ratio)
+                           chern_series_coefficient, chern_series_coefficients,
+                           volume_coefficient, volume_coefficients, weight_ratio)
 from .matrices import Matrix
 from .roots import (embed_degree, kostant_count, pairing,
                     positive_root_pairs_descending, rho, rho_vee)
@@ -116,7 +116,7 @@ def verify_main(n: int, max_degree: int, trials: int, seed: int,
 
     def compute(pt: ParameterPoint) -> dict:
         product = cs_product_series(n, pt.a_over_x(), pt.m, max_degree)
-        lhs = [chern_series_coefficient(n, g, pt) for g in gammas]
+        lhs = chern_series_coefficients(n, max_degree, pt)
         rhs = [product.coefficient(g) for g in gammas]
         comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
         return {"comparisons": comparisons,
@@ -141,7 +141,7 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
     def compute(pt: ParameterPoint) -> dict:
         a_over_x = pt.a_over_x()
         toda = toda_coefficients(n, a_over_x, max_degree, x=pt.x)
-        lhs = [volume_coefficient(n, g, pt) for g in gammas]
+        lhs = volume_coefficients(n, max_degree, pt)
         rhs = [toda.coefficient(g) for g in gammas]
         comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
         gauge_toda = (toda if pt.x == 1
@@ -242,11 +242,12 @@ def _character_record(n, max_degree) -> dict:
                 if total != expected:
                     witnesses.append(f"n={nn} rank {total} != {expected} at "
                                      f"({d.as_flat_list()}, {dp.as_flat_list()})")
-                try:  # rejects negative multiplicities
-                    weight_table(counts)
-                except InternalInconsistency as exc:
+                negative = [key for key, mult in counts.items() if mult < 0]
+                if negative:
+                    key = min(negative)
                     witnesses.append(f"n={nn} at ({d.as_flat_list()}, "
-                                     f"{dp.as_flat_list()}): {exc}")
+                                     f"{dp.as_flat_list()}): negative multiplicity "
+                                     f"{counts[key]} at (j, j', k) = {key}")
         for d, _ in tabs:
             try:
                 tangent_table(d, nn)  # raises on zero weight or bad size

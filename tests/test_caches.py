@@ -14,5 +14,6 @@ def test_every_cache_is_bounded():
             if hasattr(value, "cache_info"):
                 cached[f"{info.name}.{name}"] = value.cache_info().maxsize
     assert {"characters.step_counts", "characters.tangent_table", "tableaux._fixed_points",
-            "roots._kostant_cached", "hall._all_subspaces"} <= set(cached)
+            "roots._kostant_cached", "hall._all_subspaces",
+            "localization._transfer_table"} <= set(cached)
     assert all(size is not None for size in cached.values()), cached

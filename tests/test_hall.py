@@ -7,7 +7,7 @@ import pytest
 
 from quasiflags.errors import NonGenericParameter
 from quasiflags.hall import (MAX_AMBIENT_DIM, SUPPORTED_FIELD_SIZES,
-                             QuiverRepClass, all_ones_unitriangular,
+                             QuiverRepClass, _conjugates, all_ones_unitriangular,
                              candidate_classes, check_product_identity,
                              class_matrix, conjugator_check, conjugator_matrix,
                              hall_count, indecomposable_matrix,
@@ -260,3 +260,29 @@ def test_conjugator_rejects_degenerate_scales():
         conjugator_matrix((Fraction(1), Fraction(1)))
     with pytest.raises(NonGenericParameter):
         conjugator_matrix((Fraction(0), Fraction(2)))
+
+
+def test_entrywise_conjugation_matches_dense_products():
+    """The prefix-sum check against x * g * diag(t) == diag(t) * x with dense
+    products, at the conjugator and at a copy with one off-diagonal entry
+    perturbed, where both must read False."""
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        t = []
+        while len(t) < n:
+            v = Fraction(rng.randint(-30, 30), rng.randint(1, 5))
+            if v and v not in t:
+                t.append(v)
+        diag = Matrix.diagonal(t)
+
+        def dense(x):
+            return x * all_ones_unitriangular(n) * diag == diag * x
+
+        x = conjugator_matrix(t)
+        assert _conjugates(x, t) and dense(x)
+        i, j = rng.sample(range(n), 2)
+        rows = [list(row) for row in x.rows]
+        rows[i][j] += Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        perturbed = Matrix(rows)
+        assert not _conjugates(perturbed, t) and not dense(perturbed)

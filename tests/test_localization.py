@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from quasiflags.characters import TorusWeight, pair_character, tangent_weights
 from quasiflags.errors import NonGenericParameter
-from quasiflags.localization import (ParameterPoint, chern_matrix_element,
-                                     chern_ratio, chern_series_coefficient,
-                                     evaluate_weight, volume_coefficient)
+from quasiflags.localization import (ParameterPoint, _step_factor, _transfer_table,
+                                     chern_matrix_element, chern_ratio,
+                                     chern_series_coefficient,
+                                     chern_series_coefficients, evaluate_weight,
+                                     volume_coefficient, volume_coefficients)
 from quasiflags.roots import kostant_count
 from quasiflags.series import degree_vectors, total_degree
 from quasiflags.tableaux import Tableau, enumerate_fixed_points
@@ -206,3 +208,68 @@ def test_kernel_matches_per_weight_reference(case):
     pair = pair_character(d_prime, d, n).weights()
     assert outcome(chern_matrix_element, d_prime, d, pt) == outcome(
         reference_product, pair, tangent_weights(d_prime, n), pt)
+
+
+def raised_or_value(fn, *args):
+    try:
+        return fn(*args)
+    except NonGenericParameter as exc:
+        return type(exc), str(exc)
+
+
+def assert_row_transfer_matches_kernel(n, max_degree, pt):
+    """Both row-transfer lists equal the per-degree kernel lists, or both
+    sides raise with the same message."""
+    gammas = list(degree_vectors(n - 1, max_degree))
+    for fast, kernel in ((chern_series_coefficients, chern_series_coefficient),
+                         (volume_coefficients, volume_coefficient)):
+        expected = raised_or_value(lambda: [kernel(n, g, pt) for g in gammas])
+        assert raised_or_value(fast, n, max_degree, pt) == expected
+
+
+@st.composite
+def series_cases(draw):
+    n = draw(st.integers(2, 6))
+    max_degree = draw(st.integers(0, {2: 8, 3: 6, 4: 4, 5: 3, 6: 3}[n]))
+    return n, max_degree, draw(points(n))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(series_cases())
+def test_row_transfer_matches_kernel(case):
+    assert_row_transfer_matches_kernel(*case)
+
+
+def _point(a, m):
+    return ParameterPoint(tuple(map(Fraction, a)), Fraction(1), Fraction(m))
+
+
+# generic points where some flag-step factor has a vanishing denominator: the
+# first trial points of verify-main --n 4 --max-degree 5 --trials 2 --seed 11
+# and verify-toda --n 4 --max-degree 6 --trials 2 --seed 11, and the trial
+# point of verify-main --n 8 --max-degree 3 --trials 1 --seed 8
+LOCAL_POLES = [
+    (5, _point((6, -30, 10, 14), Fraction(-11, 3)), True),
+    (6, _point((6, -30, 10, 14), 0), False),
+    (3, _point((172, -276, -124, -116, 108, -84, 356, -36), -6), True),
+]
+
+
+@pytest.mark.parametrize("max_degree, pt, chern", LOCAL_POLES)
+def test_row_transfer_falls_back_at_local_poles(max_degree, pt, chern):
+    steps = _transfer_table(pt.n, max_degree)[1]
+    assert any(_step_factor(upper, lower, pt, chern) is None for upper, lower in steps)
+    assert_row_transfer_matches_kernel(pt.n, max_degree, pt)
+
+
+@pytest.mark.parametrize("n, max_degree, pt", [
+    (3, 2, _point((0, 0, 0), 1)),  # every a_j - a_j' vanishes
+    # five degrees reached by a local pole come before the first
+    # non-generic degree, and fall back without raising
+    (4, 5, _point((-1, 7, 3, -9), 5)),
+    (4, 6, _point((-1, 0, 0, 1), 0)),
+])
+def test_row_transfer_raises_as_the_kernel_does(n, max_degree, pt):
+    with pytest.raises(NonGenericParameter):
+        chern_series_coefficients(n, max_degree, pt)
+    assert_row_transfer_matches_kernel(n, max_degree, pt)

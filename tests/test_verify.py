@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 import quasiflags.characters as characters
+import quasiflags.localization as localization
 import quasiflags.verify as verify
 from quasiflags.errors import NonGenericParameter
 from quasiflags.localization import ParameterPoint
 from quasiflags.sampling import SplitMix64
+from quasiflags.tableaux import Tableau
 from quasiflags.verify import (GenericityExhausted, run_properties, verify_main,
                                verify_toda)
 
@@ -58,16 +60,17 @@ def test_reports_are_deterministic_and_worker_invariant():
     assert base != other_seed
 
 
-def _transposed_pair_counts(original):
-    def flipped(d, d_prime, n):
-        return {(j_prime, j, k): m for (j, j_prime, k), m in original(d, d_prime, n).items()}
+def _transposed_step_counts(original):
+    def flipped(sources, upper, lower):
+        keys, mults = original(sources, upper, lower)
+        return tuple((j_prime, j, k) for j, j_prime, k in keys), mults
     return flipped
 
 
 def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch):
-    original = characters.pair_counts
+    original = characters.step_counts
     characters.clear_caches()
-    monkeypatch.setattr(characters, "pair_counts", _transposed_pair_counts(original))
+    monkeypatch.setattr(characters, "step_counts", _transposed_step_counts(original))
     try:
         report = verify_main(2, 4, trials=1, seed=5)
         assert report["verdict"] == "fail"
@@ -121,3 +124,33 @@ def test_toda_diagnostic_couplings_scale_with_the_point():
     for diag in trial["limit_diagnostics"]:
         assert diag["couplings"] == ["1020100", "102010000", "10201000000"]
         assert diag["errors_strictly_decreasing"]
+
+
+def test_negative_multiplicity_witness_names_the_first_key(monkeypatch):
+    """The character record names the first negative multiplicity in sorted
+    key order; the rank stays right, so that is the only witness."""
+    original = verify.pair_counts
+
+    def injected(d, d_prime, n):
+        counts = original(d, d_prime, n)
+        if d == d_prime == Tableau.zero(n):
+            counts.update({(1, 0, 5): -1, (0, 1, 2): -2, (0, 0, 9): 3})
+        return counts
+
+    monkeypatch.setattr(verify, "pair_counts", injected)
+    rec = verify._character_record(2, 1)
+    assert not rec["passed"]
+    assert rec["witnesses"] == [
+        "n=2 at ([0], [0]): negative multiplicity -2 at (j, j', k) = (0, 1, 2)"]
+
+
+def test_verify_runs_enumerate_no_fixed_points(monkeypatch):
+    """Away from local poles of the step factors, verify-main and verify-toda
+    sum over the row-transfer graph alone."""
+    def forbidden(*args):
+        raise AssertionError("per-point kernel called")
+
+    monkeypatch.setattr(localization, "enumerate_fixed_points", forbidden)
+    monkeypatch.setattr(localization, "tangent_table", forbidden)
+    assert verify_main(4, 4, trials=2, seed=1)["verdict"] == "pass"
+    assert verify_toda(4, 4, trials=2, seed=1)["verdict"] == "pass"
