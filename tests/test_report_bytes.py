@@ -39,6 +39,18 @@ GOLDEN = [
      "c2d6aad3c34b3225777eccbd766e87d7c06e28b7ece6c1f840d57d6dcc214f7e"),
     ("verify-toda --n 4 --max-degree 6 --trials 2 --seed 12",
      "ad59fe54e768efbed87c69e31cf5c870a68b45044120ac81a4645253797a564c"),
+    # m = -9: the binomials of the Weyl fold vanish from the ninth on
+    ("verify-main --n 3 --max-degree 24 --trials 1 --seed 1",
+     "08e9373ea3f5013f725a99c6218a5bef9e2e53b2e86f110510f81894632342d4"),
+    # the product side at negative integer, zero-fold and rational couplings
+    ("inspect series --n 3 --max-degree 10 --kind product --a=5/3,1/2,-13/6 --m=-4",
+     "05dea9ee4d5cfce457d4f04d44b6ace2e06b3b85c7d6f641eb9fd51edacb50aa"),
+    ("inspect series --n 3 --max-degree 10 --kind product --a=5/3,1/2,-13/6 --m=-1",
+     "015457d852d1b4c5e40b3f0dac218f9a4770d4ddd1fd65e639ad46d64dc83b53"),
+    ("inspect series --n 4 --max-degree 6 --kind product --a=3/7,1/2,-1/3,-25/42 --m=-3/5 --x 2",
+     "6cfb6551cdd11b86d7af781d065956962a3838404f3b600c2a9262fdcfcf8288"),
+    ("inspect series --n 4 --max-degree 5 --kind denominator --m=7/3",
+     "3bc1dc356f2c48171bbc33d5806e2b46add1eca26f895beda3eb1642247f59e8"),
     ("inspect character --n 3 --tableau 1,0,1 --tableau2 1,1,0",
      "e922ba543705b3c41a62aa0f0385786cf5cde283169182477eeda3604b8de373"),
     ("inspect tangent-weights --n 3 --tableau 2,1,1 --a 5,1,-6",
