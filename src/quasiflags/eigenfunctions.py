@@ -13,7 +13,8 @@ factored out by reindexing lam = lam0 + gamma, never carried symbolically.
 
 All walks run on the cached series.root_lattice of (n, D).  Each gap
 (lam, lam) - s is an integer over the lcm of the denominators of lam0, so
-resonance is decided before the recursion starts.
+resonance is decided before the recursion starts.  The CS recursion and the
+operator check share one walk of per-root prefix chain sums (_chain_sums).
 """
 
 from dataclasses import dataclass
@@ -44,16 +45,26 @@ class EigenSeries:
         return self.tail.coefficient(gamma)
 
 
-def _chain_sum(lattice: RootLattice, i: int, c: list):
-    """Sum of j * c[gamma - j alpha] over positive roots alpha and j >= 1 in
-    the cone, at gamma the i-th degree vector of the lattice."""
-    acc = 0
-    for prev in lattice.prev:
-        j, p = 1, prev[i]
-        while p >= 0:
-            acc += j * c[p]
-            j, p = j + 1, prev[p]
-    return acc
+def _chain_sums(lattice: RootLattice, c: list):
+    """Yield, for i = 1, 2, ..., the sum over positive roots alpha and j >= 1
+    of j c[gamma - j alpha], gamma the i-th degree vector, from two prefix
+    arrays per root: S[i] = c[p] + S[p] and T[i] = S[i] + T[p], p = prev[i].
+    c is read lazily, so the consumer may set c[i] before the next sum."""
+    size = len(lattice.vectors)
+    roots = [(prev, [0] * size, [0] * size) for prev in lattice.prev]
+    for i in range(1, size):
+        acc = 0
+        for prev, s, t in roots:
+            p = prev[i]
+            if p < 0:
+                continue
+            if prev[p] < 0:  # the chain has one term
+                s[i] = t[i] = c[p]
+            else:
+                s[i] = c[p] + s[p]
+                t[i] = s[i] + t[p]
+            acc += t[i]
+        yield acc
 
 
 def _integer_gaps(lattice: RootLattice, lam0) -> tuple[int, list[int]]:
@@ -69,8 +80,9 @@ def _integer_gaps(lattice: RootLattice, lam0) -> tuple[int, list[int]]:
 def _eigen_recursion(n, a_over_x, degree, coupling, walk) -> tuple[WeightVec, RootLattice, list]:
     """Shared driver: decide resonance from the integer gaps, then fill the
     coefficient list in (total, lex) order by c = coupling L walk / G, where
-    walk(lattice, i, c) sums the already-computed lower-degree coefficients
-    on the right side of the recursion at the i-th degree vector."""
+    walk(lattice, c) yields, for i = 1, 2, ..., the right side of the
+    recursion at the i-th degree vector from the lower-degree coefficients
+    already in c."""
     lam0 = check_zero_sum(a_over_x)
     if len(lam0) != n:
         raise ValueError(f"expected {n} coordinates, got {len(lam0)}")
@@ -81,8 +93,8 @@ def _eigen_recursion(n, a_over_x, degree, coupling, walk) -> tuple[WeightVec, Ro
                                 "highest weight is not generic")
     factor = coupling * scale
     c = [Fraction(1)] + [Fraction(0)] * (len(gaps) - 1)
-    for i in range(1, len(gaps)):
-        c[i] = factor * walk(lattice, i, c) / gaps[i]
+    for i, total in enumerate(walk(lattice, c), 1):
+        c[i] = factor * total / gaps[i]
     return lam0, lattice, c
 
 
@@ -95,7 +107,7 @@ def cs_coefficients(n: int, a_over_x, m, degree: int) -> EigenSeries:
     """Calogero-Sutherland eigenfunction tail with coupling m, through total
     degree `degree`.  Raises ResonantParameter on a non-generic base point."""
     m = Fraction(m)
-    return _eigen_series(n, *_eigen_recursion(n, a_over_x, degree, 2 * m * (m + 1), _chain_sum))
+    return _eigen_series(n, *_eigen_recursion(n, a_over_x, degree, 2 * m * (m + 1), _chain_sums))
 
 
 def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeries:
@@ -105,8 +117,9 @@ def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeri
     if x == 0:
         raise ValueError("x must be nonzero")
 
-    def first_neighbours(lattice, i, c):  # the n - 1 simple roots come first
-        return sum(c[prev[i]] for prev in lattice.prev[:n - 1] if prev[i] >= 0)
+    def first_neighbours(lattice, c):  # the n - 1 simple roots come first
+        return (sum(c[prev[i]] for prev in lattice.prev[:n - 1] if prev[i] >= 0)
+                for i in range(1, len(c)))
 
     return _eigen_series(n, *_eigen_recursion(n, a_over_x, degree, 2 / (x * x),
                                               first_neighbours))
@@ -117,7 +130,7 @@ def cs_product_series(n: int, a_over_x, m, degree: int) -> Series:
     the (m+1)-st inverse power of the Weyl-denominator product over positive
     roots, folded into the tail in place (series.weyl_fold)."""
     m = Fraction(m)
-    _, lattice, c = _eigen_recursion(n, a_over_x, degree, 2 * m * (m + 1), _chain_sum)
+    _, lattice, c = _eigen_recursion(n, a_over_x, degree, 2 * m * (m + 1), _chain_sums)
     weyl_fold(lattice, c, m)
     return Series(n - 1, degree, dict(zip(lattice.vectors, c)))
 
@@ -136,7 +149,8 @@ def apply_cs_operator(series: EigenSeries, m, degree: int) -> Series:
     scale, gaps = _integer_gaps(lattice, series.base)
     s = inner(series.base, series.base)
     c = [series.tail.coeffs.get(g, Fraction(0)) for g in lattice.vectors]
-    out = {g: (s + Fraction(gap, scale)) * c[i] - coupling * _chain_sum(lattice, i, c)
+    sums = [0, *_chain_sums(lattice, c)]
+    out = {g: (s + Fraction(gap, scale)) * c[i] - coupling * sums[i]
            for i, (g, gap) in enumerate(zip(lattice.vectors, gaps))}
     return Series(series.rank, lattice.degree, out)
 

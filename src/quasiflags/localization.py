@@ -238,14 +238,16 @@ def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> l
     gammas, steps, layers, ends = _transfer_table(n, max_degree)
     factors = [_step_factor(upper, lower, pt, chern) for upper, lower in steps]
     values, poisoned = [1] * (max_degree + 1), [False] * (max_degree + 1)
-    for count, moves in layers:
+    for depth, (count, moves) in enumerate(layers):
         sums, hit = [0] * count, [False] * count
         for source, step, target in moves:
             factor = factors[step]
             if factor is None or poisoned[source]:
                 hit[target] = True
-            else:
+            elif depth:
                 sums[target] += values[source] * factor
+            else:  # a first-layer target has one source, a row-0 state of value 1
+                sums[target] = factor
         values, poisoned = sums, hit
     out = [Fraction(0)] * len(gammas)
     fallback = set()

@@ -12,6 +12,7 @@ operation in the package is triangular.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterator, NamedTuple
 
 from .scalars import generalized_binomial
@@ -147,6 +148,10 @@ class RootLattice(NamedTuple):
 
 @lru_cache(maxsize=32)  # one key per (n, D) in use; a run touches a handful
 def root_lattice(n: int, degree: int) -> RootLattice:
+    """The RootLattice of sl_n through total degree `degree`.  Only the simple
+    roots' predecessors are looked up by vector: the root of height h at i
+    is the one of height h - 1 at i plus alpha_{i+h-1}, and since the cone
+    is the orthant, gamma leaves it at the first subtraction or the second."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     vectors = tuple(degree_vectors(n - 1, degree))
@@ -156,22 +161,43 @@ def root_lattice(n: int, degree: int) -> RootLattice:
     # positive roots alpha_i + ... + alpha_{i+h-1} by height h: simple roots first
     supports = tuple(tuple(1 if i <= k < i + h else 0 for k in range(1, n))
                      for h in range(1, n) for i in range(1, n - h + 1))
-    prev = tuple(tuple(index.get(tuple(d - s for d, s in zip(g, sup)), -1) for g in vectors)
-                 for sup in supports)
-    return RootLattice(degree, vectors, embeddings, supports, prev)
+    simple = [tuple(index[g[:k] + (g[k] - 1,) + g[k + 1:]] if g[k] else -1 for g in vectors)
+              for k in range(n - 1)]
+    prev, below = list(simple), simple
+    for h in range(2, n):
+        below = [tuple(last[q] if q >= 0 else -1 for q in chain)
+                 for chain, last in zip(below, simple[h - 1:])]
+        prev += below
+    return RootLattice(degree, vectors, embeddings, supports, tuple(prev))
 
 
 def weyl_fold(lattice: RootLattice, h: list, m) -> None:
     """Multiply the coefficient list h (indexed like lattice.vectors) in place
-    by prod_{alpha > 0} (1 - e^{-alpha})^{-m-1}, one root at a time.  The
-    descending sweep reads the lower entries before they are updated."""
+    by prod_{alpha > 0} (1 - e^{-alpha})^{-m-1}, one root at a time, on
+    integers: the binomials b_k, cut at the first zero (a polynomial for
+    integer m <= -1, and 1 at m = -1), are w_k / E and h is H / Delta.  Each
+    root's descending sweep H[i] = E H[i] + sum_k w_k H[prev^k(i)] reads the
+    lower entries before they are updated; then H[0] and Delta take E."""
     b = [generalized_binomial(m, k) for k in range(1, lattice.degree + 1)]
+    b = b[:b.index(0)] if 0 in b else b
+    if not b:
+        return
+    scale = lcm(*(x.denominator for x in b))
+    w = [x.numerator * (scale // x.denominator) for x in b]
+    delta = lcm(*(x.denominator for x in h))
+    H = [x.numerator * (delta // x.denominator) for x in h]
     for prev in lattice.prev:
-        for i in range(len(h) - 1, 0, -1):
-            k, p = 0, prev[i]
-            while p >= 0:
-                h[i] += b[k] * h[p]
-                k, p = k + 1, prev[p]
+        for i in range(len(H) - 1, 0, -1):
+            acc, p = scale * H[i], prev[i]
+            for wk in w:
+                if p < 0:
+                    break
+                acc += wk * H[p]
+                p = prev[p]
+            H[i] = acc
+        H[0] *= scale
+        delta *= scale
+    h[:] = [Fraction(x, delta) for x in H]
 
 
 def denominator_power_series(n: int, exponent, degree: int) -> Series:

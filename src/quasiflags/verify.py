@@ -13,8 +13,7 @@ from fractions import Fraction
 from .characters import pair_counts, shift_defect, tangent_table, weight_table
 from .errors import InternalInconsistency, NonGenericParameter, ResonantParameter
 from .eigenfunctions import (apply_cs_operator, cs_coefficients,
-                             cs_product_series, toda_coefficients,
-                             toda_limit_ratios)
+                             cs_product_series, toda_coefficients)
 from .hall import (QuiverRepClass, all_ones_unitriangular, check_product_identity,
                    conjugator_check, hall_count, indecomposable_matrix,
                    root_exponential_product, unipotent_product)
@@ -151,8 +150,13 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
         # a/x, so the couplings are scaled by (1 + max a/x - min a/x)^2
         spread = (1 + max(a_over_x) - min(a_over_x)) ** 2
         couplings = [m * spread for m in TODA_DIAGNOSTIC_COUPLINGS]
+        # one CS tail per coupling serves every diagonal gamma (the ratios of
+        # toda_limit_ratios); its gaps are those toda_coefficients passed
+        tails = [cs_coefficients(n, a_over_x, m, min(max_degree, 2))
+                 for m in couplings]
         for gamma in diag_gammas:
-            ratios = toda_limit_ratios(n, gamma, a_over_x, couplings)
+            ratios = [t.coefficient(gamma) / m ** (2 * total_degree(gamma))
+                      for t, m in zip(tails, couplings)]
             target = gauge_toda.coefficient(gamma)
             errors = [abs(r - target) for r in ratios]
             decreasing = all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))

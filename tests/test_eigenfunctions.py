@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from quasiflags.localization import ParameterPoint, volume_coefficient
 from quasiflags.roots import embed_degree, inner, kostant_count
 from quasiflags.scalars import generalized_binomial
 from quasiflags.series import Series, degree_vectors, denominator_power_series
-from test_series import brute_force_product
 
 
 A2 = (Fraction(7, 3), Fraction(-7, 3))          # v = 14/3
@@ -134,7 +134,7 @@ def test_resonance_at_top_degree_is_decided_before_the_recursion(monkeypatch):
     assert cs_coefficients(2, a, m, 1).coefficient((1,)) == -m * (m + 1)
     assert toda_coefficients(2, a, 1).coefficient((1,)) == -1
     walks = []
-    monkeypatch.setattr(eigenfunctions, "_chain_sum", lambda *args: walks.append(args))
+    monkeypatch.setattr(eigenfunctions, "_chain_sums", lambda *args: walks.append(args))
     message = "(lam, lam) = s at gamma=(2,); highest weight is not generic"
     for compute in (lambda: cs_coefficients(2, a, m, 2),
                     lambda: cs_product_series(2, a, m, 3),
@@ -157,60 +157,151 @@ def test_resonance_names_the_first_resonant_degree():
         assert str(excinfo.value) == message
 
 
+def positive_roots(n):
+    """(a, b, support) for each positive root e_a - e_b, a < b (0-based),
+    support its degree vector alpha_{a+1} + ... + alpha_b."""
+    return [(a, b, tuple(1 if a <= t < b else 0 for t in range(n - 1)))
+            for a in range(n) for b in range(a + 1, n)]
+
+
+def chain(gamma, sup):
+    """gamma - j alpha for j = 1, 2, ... while it stays in the cone."""
+    target = tuple(g - t for g, t in zip(gamma, sup))
+    while all(t >= 0 for t in target):
+        yield target
+        target = tuple(g - t for g, t in zip(target, sup))
+
+
+def chain_sum(coeffs, gamma, sup):
+    """sum_{j >= 1} j * coeffs[gamma - j alpha], walked down the chain."""
+    return sum((j * coeffs.get(t, 0) for j, t in enumerate(chain(gamma, sup), 1)),
+               Fraction(0))
+
+
+def shifted(lam0, gamma):
+    return tuple(l + e for l, e in zip(lam0, embed_degree(gamma, len(lam0))))
+
+
+def resonant(gamma):
+    return ResonantParameter(f"(lam, lam) = s at gamma={gamma}; highest weight is not generic")
+
+
 def reference_cs_tail(n, lam0, m, degree):
     """The dict-and-tuple CS recursion: (lam, lam) from scratch at each gamma,
     and a new target tuple at every root step."""
     coupling = 2 * m * (m + 1)
-    supports = [tuple(1 if i <= k < j else 0 for k in range(1, n))
-                for i in range(1, n) for j in range(i + 1, n + 1)]
     s = inner(lam0, lam0)
     coeffs = {}
     for gamma in degree_vectors(n - 1, degree):
         if sum(gamma) == 0:
             coeffs[gamma] = Fraction(1)
             continue
-        lam = tuple(l + e for l, e in zip(lam0, embed_degree(gamma, n)))
+        lam = shifted(lam0, gamma)
         gap = inner(lam, lam) - s
         if gap == 0:
-            raise ResonantParameter(
-                f"(lam, lam) = s at gamma={gamma}; highest weight is not generic")
-        acc = Fraction(0)
-        for sup in supports:
-            j = 1
-            target = tuple(g - t for g, t in zip(gamma, sup))
-            while all(t >= 0 for t in target):
-                acc += j * coeffs[target]
-                j += 1
-                target = tuple(t - u for t, u in zip(target, sup))
+            raise resonant(gamma)
+        acc = sum((chain_sum(coeffs, gamma, sup) for _, _, sup in positive_roots(n)),
+                  Fraction(0))
         coeffs[gamma] = coupling * acc / gap
+    return Series(n - 1, degree, coeffs)
+
+
+def reference_cs_operator(series, m, degree):
+    """apply_cs_operator with each root's chain walked down from gamma, one
+    multiply-add per step: (lam, lam) c_gamma - 2 m (m+1) sum_alpha sum_j
+    j c_{gamma - j alpha}."""
+    lam0, coeffs = series.base, series.tail.coeffs
+    roots = positive_roots(len(lam0))
+    out = {}
+    for gamma in degree_vectors(series.rank, degree):
+        lam = shifted(lam0, gamma)
+        acc = sum((chain_sum(coeffs, gamma, sup) for _, _, sup in roots), Fraction(0))
+        out[gamma] = inner(lam, lam) * coeffs.get(gamma, 0) - 2 * m * (m + 1) * acc
+    return Series(series.rank, degree, out)
+
+
+def reference_gauge_product(n, lam0, m, degree):
+    """The product side without the CS tail or the Weyl fold: with k = m + 1,
+    P = (CS tail) prod_alpha (1 - e^{-alpha})^{-k} solves the gauge-transformed
+    recursion (Heckman-Opdam)
+
+        P_gamma ((lam, lam) - s) = -sum_alpha [2k ((alpha, lam) - k ht alpha) S_alpha
+                                              + 4k T_alpha]
+
+    at lam = lam0 + gamma, with S_alpha = sum_{j >= 1} P_{gamma - j alpha},
+    T_alpha = sum_{j >= 1} j P_{gamma - j alpha} and (e_a - e_b, lam) =
+    lam_a - lam_b."""
+    k = m + 1
+    s = inner(lam0, lam0)
+    coeffs = {}
+    for gamma in degree_vectors(n - 1, degree):
+        if sum(gamma) == 0:
+            coeffs[gamma] = Fraction(1)
+            continue
+        lam = shifted(lam0, gamma)
+        gap = inner(lam, lam) - s
+        if gap == 0:
+            raise resonant(gamma)
+        acc = Fraction(0)
+        for a, b, sup in positive_roots(n):
+            plain = sum((coeffs[t] for t in chain(gamma, sup)), Fraction(0))
+            weighted = chain_sum(coeffs, gamma, sup)
+            acc += 2 * k * (lam[a] - lam[b] - k * (b - a)) * plain + 4 * k * weighted
+        coeffs[gamma] = -acc / gap
     return Series(n - 1, degree, coeffs)
 
 
 def reference_weyl_series(n, m, degree):
     """prod over positive roots of the expanded geometric factor
-    (1 - e^{-alpha})^{-m-1}, multiplied out by the all-pairs loop."""
+    (1 - e^{-alpha})^{-m-1}, each factor multiplied in by the all-pairs loop
+    over the nonzero terms."""
     result = Series.one(n - 1, degree)
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            sup = tuple(1 if i <= k < j else 0 for k in range(1, n))
-            height = j - i
-            factor = Series(n - 1, degree, {tuple(k * t for t in sup): generalized_binomial(m, k)
-                                            for k in range(degree // height + 1)})
-            result = brute_force_product(result, factor, degree)
+    for a, b, sup in positive_roots(n):
+        factor = {tuple(j * t for t in sup): generalized_binomial(m, j)
+                  for j in range(degree // (b - a) + 1)}
+        result = sparse_product(result, Series(n - 1, degree, factor), degree)
     return result
+
+
+def sparse_product(x, y, degree):
+    """Cauchy product over all pairs of nonzero terms."""
+    out = {}
+    for gx, cx in x.coeffs.items():
+        for gy, cy in y.coeffs.items():
+            key = tuple(p + q for p, q in zip(gx, gy))
+            if sum(key) <= degree:
+                out[key] = out.get(key, 0) + cx * cy
+    return Series(x.rank, degree, out)
 
 
 @st.composite
 def analytic_cases(draw):
-    """n <= 5, 1 <= D <= 5, a zero-sum point with denominators (so L > 1
-    mostly), and m one of 0, -1, -1/2, a negative or a positive rational."""
+    """n <= 5, 1 <= D <= 8, a zero-sum point with denominators (so L > 1
+    mostly), and m one of 0, -1, -1/2, an integer in [-D, -2] (where the
+    binomials of the Weyl fold stop), a negative or a positive rational."""
     rnd = draw(st.randoms(use_true_random=False))
-    n, degree, q = rnd.randint(2, 5), rnd.randint(1, 5), rnd.randint(1, 4)
+    n, degree, q = rnd.randint(2, 5), rnd.randint(1, 8), rnd.randint(1, 4)
     numerators = [rnd.randint(-40, 40) for _ in range(n)]
     a = tuple(Fraction(n * p - sum(numerators), n * q) for p in numerators)
     p, r = rnd.randint(1, 19), rnd.randint(1, 5)
-    m = rnd.choice([Fraction(0), Fraction(-1), Fraction(-1, 2), Fraction(-p, r), Fraction(p, r)])
+    m = rnd.choice([Fraction(0), Fraction(-1), Fraction(-1, 2), Fraction(-rnd.randint(2, max(degree, 2))),
+                    Fraction(-p, r), Fraction(p, r)])
     return n, a, m, degree
+
+
+def assert_same_outcome(reference, *computes):
+    """Each compute() equals reference(), or all raise the same
+    ResonantParameter message."""
+    try:
+        expected = reference()
+    except ResonantParameter as exc:
+        for compute in computes:
+            with pytest.raises(ResonantParameter) as excinfo:
+                compute()
+            assert str(excinfo.value) == str(exc)
+        return
+    for compute in computes:
+        assert compute() == expected
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -219,13 +310,27 @@ def test_lattice_walks_match_dict_reference(case):
     n, a, m, degree = case
     weyl = reference_weyl_series(n, m, degree)
     assert denominator_power_series(n, m + 1, degree) == weyl
-    try:
-        tail = reference_cs_tail(n, a, m, degree)
-    except ResonantParameter as exc:
-        for compute in (cs_coefficients, cs_product_series):
-            with pytest.raises(ResonantParameter) as excinfo:
-                compute(n, a, m, degree)
-            assert str(excinfo.value) == str(exc)
-        return
-    assert cs_coefficients(n, a, m, degree).tail == tail
-    assert cs_product_series(n, a, m, degree) == brute_force_product(tail, weyl, degree)
+    assert_same_outcome(lambda: reference_cs_tail(n, a, m, degree),
+                        lambda: cs_coefficients(n, a, m, degree).tail)
+    assert_same_outcome(lambda: sparse_product(reference_cs_tail(n, a, m, degree), weyl, degree),
+                        lambda: cs_product_series(n, a, m, degree))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(analytic_cases())
+def test_product_series_solves_the_gauge_transformed_recursion(case):
+    n, a, m, degree = case
+    assert_same_outcome(lambda: reference_gauge_product(n, a, m, degree),
+                        lambda: cs_product_series(n, a, m, degree))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(analytic_cases())
+def test_operator_matches_per_chain_reference(case):
+    n, a, m, degree = case
+    rng = random.Random(repr(case))
+    tail = Series(n - 1, degree, {g: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                  for g in degree_vectors(n - 1, degree)
+                                  if rng.random() < 0.7})
+    series = EigenSeries(a, tail, inner(a, a))
+    assert apply_cs_operator(series, m, degree) == reference_cs_operator(series, m, degree)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasiflags.scalars import generalized_binomial
 from quasiflags.series import (Series, degree_vectors, denominator_power_series,
-                               series_mul, total_degree)
+                               root_lattice, series_mul, total_degree)
 
 
 def random_series(rng, rank, trunc, density=0.7):
@@ -135,3 +135,14 @@ def sparse_products(draw):
 def test_graded_product_matches_all_pairs_loop(case):
     a, b, degree = case
     assert series_mul(a, b, degree) == brute_force_product(a, b, degree)
+
+
+def test_composed_root_predecessors_match_direct_subtraction():
+    for n in range(2, 9):
+        for degree in range(7):
+            lattice = root_lattice(n, degree)
+            index = {g: i for i, g in enumerate(lattice.vectors)}
+            direct = tuple(tuple(index.get(tuple(d - t for d, t in zip(g, sup)), -1)
+                                 for g in lattice.vectors)
+                           for sup in lattice.supports)
+            assert lattice.prev == direct

@@ -6,9 +6,11 @@ import pytest
 import quasiflags.characters as characters
 import quasiflags.localization as localization
 import quasiflags.verify as verify
+from quasiflags.eigenfunctions import toda_limit_ratios
 from quasiflags.errors import NonGenericParameter
 from quasiflags.localization import ParameterPoint
 from quasiflags.sampling import SplitMix64
+from quasiflags.scalars import format_rational
 from quasiflags.tableaux import Tableau
 from quasiflags.verify import (GenericityExhausted, run_properties, verify_main,
                                verify_toda)
@@ -124,6 +126,20 @@ def test_toda_diagnostic_couplings_scale_with_the_point():
     for diag in trial["limit_diagnostics"]:
         assert diag["couplings"] == ["1020100", "102010000", "10201000000"]
         assert diag["errors_strictly_decreasing"]
+
+
+def test_toda_diagnostics_are_the_limit_ratios():
+    # verify_toda reads every diagonal gamma from one CS tail per coupling
+    for seed in (1, 2002):
+        trial = verify_toda(4, 3, trials=1, seed=seed)["trials"][0]
+        a_over_x = ParameterPoint(tuple(map(Fraction, trial["point"]["a"])),
+                                  Fraction(trial["point"]["x"]), Fraction(0)).a_over_x()
+        assert len(trial["limit_diagnostics"]) == 9
+        for diag in trial["limit_diagnostics"]:
+            gamma = tuple(int(d) for d in diag["gamma"].split(","))
+            couplings = [Fraction(m) for m in diag["couplings"]]
+            ratios = toda_limit_ratios(4, gamma, a_over_x, couplings)
+            assert diag["ratios"] == [format_rational(r) for r in ratios]
 
 
 def test_negative_multiplicity_witness_names_the_first_key(monkeypatch):
