@@ -175,9 +175,10 @@ def weyl_fold(lattice: RootLattice, h: list, m) -> None:
     """Multiply the coefficient list h (indexed like lattice.vectors) in place
     by prod_{alpha > 0} (1 - e^{-alpha})^{-m-1}, one root at a time, on
     integers: the binomials b_k, cut at the first zero (a polynomial for
-    integer m <= -1, and 1 at m = -1), are w_k / E and h is H / Delta.  Each
-    root's descending sweep H[i] = E H[i] + sum_k w_k H[prev^k(i)] reads the
-    lower entries before they are updated; then H[0] and Delta take E."""
+    integer m <= -1, and 1 at m = -1), are w_k / scale and h is H / delta.
+    Each root's descending sweep H[i] = scale H[i] + sum_k w_k H[prev^k(i)]
+    reads the lower entries before they are updated; then H[0] and delta
+    take the factor scale."""
     b = [generalized_binomial(m, k) for k in range(1, lattice.degree + 1)]
     b = b[:b.index(0)] if 0 in b else b
     if not b:
