@@ -9,9 +9,9 @@ the tangent bundle, which gives the tangent weights that feed every
 localization denominator.
 
 Internally a character is an integer count map (j, j', k) -> multiplicity of
-a_j - a_{j'} + k x (pair_counts), flattened into weight tables for the
-localization kernel; Character and TorusWeight are built from it only for
-the public API.  The blocks of flag step i depend only on the rows d'_i, d_i
+a_j - a_{j'} + k x (pair_counts), frozen for the localization kernel into a
+WeightTable; Character and TorusWeight are built from it only for the
+public API.  The blocks of flag step i depend only on the rows d'_i, d_i
 and d_{i+1}, so pair_counts sums one cached count map per step
 (step_counts), and pairs that share rows share the work.
 """
@@ -22,6 +22,8 @@ from typing import NamedTuple
 from .errors import InternalInconsistency
 from .tableaux import Tableau
 
+# a frozen count map: parallel tuples of keys (j, j', k) and multiplicities
+WeightTable = tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]
 
 class TorusWeight(NamedTuple):
     """Integer weight sum_j a_coeffs[j] * a_j + x_coeff * x of the torus times
@@ -112,9 +114,9 @@ def _key(a: int, b: int, k: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=4096)  # 1,716 keys at n=3 D=24, 1,156 in the character record
 def step_counts(sources: tuple[int, ...], upper: tuple[int, ...], lower: tuple[int, ...]
-                ) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+                ) -> WeightTable:
     """Count map of flag step i, from sources = d'_i, upper = d_i and lower =
-    d_{i+1}, as the immutable pair (keys, mults) without zeros:
+    d_{i+1}, as a WeightTable with signed multiplicities and no zeros:
 
         sum_{j<=i+1, j'<=i} e^{a_j - a_{j'}} G(d'_i^{j'} - d_{i+1}^j)
       - sum_{j<=i,   j'<=i} e^{a_j - a_{j'}} G(d'_i^{j'} - d_i^j),  G = geom_block
@@ -157,28 +159,26 @@ def pair_character(d: Tableau, d_prime: Tableau, n: int) -> Character:
                       for (j, j_prime, k), mult in pair_counts(d, d_prime, n).items()})
 
 
-def weight_table(counts: dict[tuple[int, int, int], int]) -> tuple[int, ...]:
-    """Flatten a count map (see pair_counts) into the tuple
-    (j, j', k, mult, j, j', k, mult, ...) in sorted key order.  Raises
-    InternalInconsistency on a negative multiplicity."""
-    flat = []
-    for key, mult in sorted(counts.items()):
-        if mult < 0:
-            raise InternalInconsistency(
-                f"negative multiplicity {mult} at (j, j', k) = {key}")
-        flat += (*key, mult)
-    return tuple(flat)
+def weight_table(counts: dict[tuple[int, int, int], int]) -> WeightTable:
+    """Freeze a count map (see pair_counts) into a WeightTable.  Raises
+    InternalInconsistency, naming the least such key, on a negative
+    multiplicity."""
+    negative = [key for key, mult in counts.items() if mult < 0]
+    if negative:
+        key = min(negative)
+        raise InternalInconsistency(
+            f"negative multiplicity {counts[key]} at (j, j', k) = {key}")
+    return tuple(counts), tuple(counts.values())
 
 
-def table_weights(table: tuple[int, ...], n: int) -> tuple[TorusWeight, ...]:
-    """Expand a flat weight table into its weight multiset, sorted as TorusWeights."""
-    it = iter(table)
-    return tuple(sorted(w for j, j_prime, k, mult in zip(it, it, it, it)
+def table_weights(table: WeightTable, n: int) -> tuple[TorusWeight, ...]:
+    """Expand a weight table into its weight multiset, sorted as TorusWeights."""
+    return tuple(sorted(w for (j, j_prime, k), mult in zip(*table)
                         for w in [pair_weight(j + 1, j_prime + 1, k, n)] * mult))
 
 
 @lru_cache(maxsize=8192)  # one key per fixed point: 5,931 at n=4 D=14
-def tangent_table(d: Tableau, n: int) -> tuple[int, ...]:
+def tangent_table(d: Tableau, n: int) -> WeightTable:
     """Weight table (see weight_table) of the tangent space at the fixed point
     d.  The diagonal character must be a genuine representation of dimension
     2 * sum(degree) with no zero weight; anything else means a transcription
@@ -187,7 +187,7 @@ def tangent_table(d: Tableau, n: int) -> tuple[int, ...]:
     if (0, 0, 0) in counts:
         raise InternalInconsistency(f"zero weight in tangent space of {d}")
     table = weight_table(counts)
-    size, expected = sum(table[3::4]), 2 * sum(d.degree())
+    size, expected = sum(table[1]), 2 * sum(d.degree())
     if size != expected:
         raise InternalInconsistency(
             f"tangent multiset has size {size}, expected {expected}")

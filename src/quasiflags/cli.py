@@ -72,7 +72,7 @@ def _add_common(sub, verify=True):
         sub.add_argument("--trials", type=int, default=5,
                          help="number of sampled parameter points (default 5)")
     sub.add_argument("--seed", type=int, default=1,
-                     help="64-bit seed for the splitmix64 sampling stream")
+                     help="seed for the splitmix64 sampling stream, 0 <= seed < 2^64")
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted and ignored, kept for compatibility "
                           "(degrees are evaluated serially)")
@@ -217,6 +217,9 @@ def main(argv=None) -> int:
                              ("--trials", getattr(args, "trials", 1), 1)):
         if value < low:
             parser.error(f"{flag} must be at least {low}, got {value}")
+    # the stream keeps 64 bits, so a wider seed would alias a narrower one
+    if not 0 <= getattr(args, "seed", 0) < 2 ** 64:
+        parser.error(f"--seed must satisfy 0 <= seed < 2^64, got {args.seed}")
 
     try:
         if args.command == "inspect":

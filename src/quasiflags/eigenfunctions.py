@@ -77,12 +77,11 @@ def _integer_gaps(lattice: RootLattice, lam0) -> tuple[int, list[int]]:
                    for emb in lattice.embeddings]
 
 
-def _eigen_recursion(n, a_over_x, degree, coupling, walk) -> tuple[WeightVec, RootLattice, list]:
-    """Shared driver: decide resonance from the integer gaps, then fill the
-    coefficient list in (total, lex) order by c = coupling L walk / G, where
-    walk(lattice, c) yields, for i = 1, 2, ..., the right side of the
-    recursion at the i-th degree vector from the lower-degree coefficients
-    already in c."""
+def check_nonresonant(n, a_over_x, degree) -> tuple[WeightVec, RootLattice, int, list[int]]:
+    """Validate the base point lam0 = a/x and decide resonance through total
+    degree `degree` from the integer gaps, before any recursion runs.
+    Returns (lam0, lattice, L, gaps) (see _integer_gaps); raises
+    ResonantParameter when a gap above degree zero vanishes."""
     lam0 = check_zero_sum(a_over_x)
     if len(lam0) != n:
         raise ValueError(f"expected {n} coordinates, got {len(lam0)}")
@@ -91,6 +90,16 @@ def _eigen_recursion(n, a_over_x, degree, coupling, walk) -> tuple[WeightVec, Ro
     if 0 in gaps[1:]:
         raise ResonantParameter(f"(lam, lam) = s at gamma={lattice.vectors[gaps.index(0, 1)]}; "
                                 "highest weight is not generic")
+    return lam0, lattice, scale, gaps
+
+
+def _eigen_recursion(n, a_over_x, degree, coupling, walk) -> tuple[WeightVec, RootLattice, list]:
+    """Shared driver: decide resonance (check_nonresonant), then fill the
+    coefficient list in (total, lex) order by c = coupling L walk / G, where
+    walk(lattice, c) yields, for i = 1, 2, ..., the right side of the
+    recursion at the i-th degree vector from the lower-degree coefficients
+    already in c."""
+    lam0, lattice, scale, gaps = check_nonresonant(n, a_over_x, degree)
     factor = coupling * scale
     c = [Fraction(1)] + [Fraction(0)] * (len(gaps) - 1)
     for i, total in enumerate(walk(lattice, c), 1):

@@ -16,22 +16,22 @@ there the tangent character factors over flag steps, each step depending on
 two consecutive rows only; chern_series_coefficients and volume_coefficients
 sum those step factors along a row-transfer graph, with no fixed point
 enumerated and no tangent table built, and fall back to the kernel at the
-degrees a local pole of a step factor reaches.
+degrees a local pole of a step factor reaches.  Both read their weights
+through one integer evaluator, _products.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 
 from . import characters
-from .characters import (TorusWeight, pair_counts, table_weights,
+from .characters import (TorusWeight, WeightTable, pair_counts, table_weights,
                          tangent_table, weight_table)
 from .errors import InternalInconsistency, NonGenericParameter
 from .roots import check_zero_sum
 from .series import degree_vectors
-from .tableaux import Tableau, enumerate_fixed_points
+from .tableaux import Tableau, enumerate_fixed_points, row_heads
 
 
 @dataclass(frozen=True)
@@ -86,37 +86,43 @@ def evaluate_weight(w: TorusWeight, pt: ParameterPoint) -> Fraction:
     return total
 
 
-def _products(table: tuple[int, ...], pt: ParameterPoint) -> tuple[int, int, int]:
-    """(prod (V + M)^mult, prod V^mult, sum mult) over a flat weight table,
-    where V = U_j - U_{j'} + k L is L/x times the weight value."""
+def _products(keys, mults, pt: ParameterPoint, chern: bool) -> tuple[int, int]:
+    """(top, bottom) with top / bottom = prod ((V + M) / V)^mult (chern) or
+    prod (1 / V)^mult over a count map with signed multiplicities, where
+    V = U_j - U_{j'} + k L is L/x times the weight value.  This is the only
+    place a weight is evaluated on integers."""
     u, scale, shift = pt.integer_scaling
-    shifted = plain = 1
-    dim = 0
-    it = iter(table)
-    for j, j_prime, k, mult in zip(it, it, it, it):
+    top = bottom = 1
+    for (j, j_prime, k), mult in zip(keys, mults):
         value = u[j] - u[j_prime] + k * scale
-        shifted *= (value + shift) ** mult
-        plain *= value ** mult
-        dim += mult
-    return shifted, plain, dim
+        other = value + shift if chern else 1
+        if mult > 0:
+            top *= other ** mult
+            bottom *= value ** mult
+        else:
+            top *= value ** -mult
+            bottom *= other ** -mult
+    return top, bottom
 
 
-def weight_ratio(numerator: tuple[int, ...], denominator: tuple[int, ...],
+def weight_ratio(numerator: WeightTable, denominator: WeightTable,
                  pt: ParameterPoint) -> Fraction:
     """prod over the numerator table of (w + m x)^mult divided by the product
-    over the denominator table of w^mult (flat integer tables built by
+    over the denominator table of w^mult (tables built by
     characters.weight_table from pair_counts maps).  Raises
     NonGenericParameter, naming the first vanishing denominator weight in
     TorusWeight order, when one vanishes."""
-    shifted, plain, dim = _products(denominator, pt)
-    if plain == 0:
+    chern = numerator is denominator
+    top, bottom = _products(*denominator, pt, chern)
+    if bottom == 0:
         w = next(w for w in table_weights(denominator, pt.n) if evaluate_weight(w, pt) == 0)
         raise NonGenericParameter(f"weight {w} vanishes at {pt}")
-    if numerator is denominator:
-        return Fraction(shifted, plain)
-    shifted, _, top_dim = _products(numerator, pt)
+    if chern:
+        return Fraction(top, bottom)
+    top = _products(*numerator, pt, True)[0]
     # each weight is (x/L) V, which leaves (x/L)^(top_dim - dim) over
-    return Fraction(shifted, plain) * (pt.x / pt.integer_scaling[1]) ** (top_dim - dim)
+    return Fraction(top, bottom) * (pt.x / pt.integer_scaling[1]) ** (
+        sum(numerator[1]) - sum(denominator[1]))
 
 
 def chern_ratio(d: Tableau, pt: ParameterPoint) -> Fraction:
@@ -136,7 +142,7 @@ def volume_coefficient(n: int, gamma, pt: ParameterPoint) -> Fraction:
     """Coefficient at gamma of the equivariant-volume series: sum over fixed
     points of prod 1/w.  This is the termwise m -> infinity limit of the Chern
     series after dividing by m^(dim)."""
-    return sum((weight_ratio((), tangent_table(d, n), pt)
+    return sum((weight_ratio(((), ()), tangent_table(d, n), pt)
                 for d in enumerate_fixed_points(n, gamma)), Fraction(0))
 
 
@@ -157,16 +163,21 @@ def chern_matrix_element(d_prime: Tableau, d: Tableau, pt: ParameterPoint) -> Fr
 @lru_cache(maxsize=16)  # one key per (n, D) verified in a process
 def _transfer_table(n: int, max_degree: int):
     """Row-transfer graph of the fixed points of every degree |gamma| <= D,
-    read top-down.  A state after row i is (row sums so far, row i); row i+1
-    has i+2 entries, the first i+1 at most the entries above them and the
-    last free, with the running total <= D.  Every state completes (by zero
-    rows), so no state is dead, and the paths are the fixed points.
+    read top-down by the row rule of enumerate_fixed_points (row_heads) with
+    the running total <= D.  A state after row i is (row sums so far, row
+    i).  Every state completes (by zero rows), so no state is dead, and the
+    paths are the fixed points.
 
-    Returns (gammas, steps, layers, ends): the degrees in degree_vectors
-    order, the distinct flag steps (upper, lower), per row after row 0
-    (whose states are the D + 1 rows (e,)) its state count and its
-    transitions (source, step, target), and per state of the last row
-    (gamma index, step) for its step onto the zero row."""
+    Returns (gammas, steps, layers): the degrees in degree_vectors order,
+    the distinct flag steps (upper, lower), and per row after row 0 (whose
+    states are the D + 1 rows (e,)) its state count and its transitions
+    (source, step, target).  The last layer steps onto the zero row, and
+    its targets are the degree indices.
+
+    Each step's count map (characters.step_counts) is checked once, here:
+    a zero weight, or a total multiplicity other than U + (i+1)(U - L), U
+    and L the row sums and i the step index, raises InternalInconsistency.
+    Summed over the steps of a fixed point d that total is 2|d|."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     steps: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
@@ -176,9 +187,9 @@ def _transfer_table(n: int, max_degree: int):
         index: dict = {}
         moves = []
         for source, (sums, upper) in enumerate(states):
-            for head in product(*(range(u + 1) for u in upper)):
-                room = max_degree - sum(sums) - sum(head)
-                for last in range(room + 1):
+            room = max_degree - sum(sums)
+            for head in row_heads(upper, room):
+                for last in range(room - sum(head) + 1):
                     lower = head + (last,)
                     target = index.setdefault((sums + (sum(lower),), lower), len(index))
                     moves.append((source, steps.setdefault((upper, lower), len(steps)),
@@ -188,44 +199,25 @@ def _transfer_table(n: int, max_degree: int):
     gammas = tuple(degree_vectors(n - 1, max_degree))
     position = {g: i for i, g in enumerate(gammas)}
     zero = (0,) * n
-    ends = tuple((position[sums], steps.setdefault((upper, zero), len(steps)))
-                 for sums, upper in states)
-    return gammas, tuple(steps), tuple(layers), ends
-
-
-def _step_factor(upper: tuple[int, ...], lower: tuple[int, ...], pt: ParameterPoint,
-                 chern: bool) -> Fraction | None:
-    """Diagonal flag step upper -> lower at the point: prod ((V + M)/V)^mult
-    (chern) or prod (1/V)^mult over the step's signed count map, V = L/x
-    times the weight, as one exact Fraction; None when its denominator
-    vanishes.  Raises InternalInconsistency on a zero weight or on a total
-    multiplicity other than U + (i+1)(U - L), U and L the row sums and i
-    the step index; summed over the steps that is 2|d|."""
-    keys, mults = characters.step_counts(upper, upper, lower)
-    size = sum(mults)
-    expected = sum(upper) + len(upper) * (sum(upper) - sum(lower))
-    if (0, 0, 0) in keys:
-        raise InternalInconsistency(f"zero weight in flag step {upper} -> {lower}")
-    if size != expected:
-        raise InternalInconsistency(
-            f"flag step {upper} -> {lower} has multiplicity {size}, expected {expected}")
-    u, scale, shift = pt.integer_scaling
-    top = bottom = 1
-    for (j, j_prime, k), mult in zip(keys, mults):
-        value = u[j] - u[j_prime] + k * scale
-        other = value + shift if chern else 1
-        if mult > 0:
-            top *= other ** mult
-            bottom *= value ** mult
-        else:
-            top *= value ** -mult
-            bottom *= other ** -mult
-    return Fraction(top, bottom) if bottom else None
+    layers.append((len(gammas), tuple(
+        (source, steps.setdefault((upper, zero), len(steps)), position[sums])
+        for source, (sums, upper) in enumerate(states))))
+    for upper, lower in steps:
+        keys, mults = characters.step_counts(upper, upper, lower)
+        size, expected = sum(mults), sum(upper) + len(upper) * (sum(upper) - sum(lower))
+        if (0, 0, 0) in keys:
+            raise InternalInconsistency(f"zero weight in flag step {upper} -> {lower}")
+        if size != expected:
+            raise InternalInconsistency(
+                f"flag step {upper} -> {lower} has multiplicity {size}, expected {expected}")
+    return gammas, tuple(steps), tuple(layers)
 
 
 def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> list[Fraction]:
     """Every Chern (chern) or volume coefficient with |gamma| <= D, in
-    degree_vectors order, as path sums of step factors over _transfer_table.
+    degree_vectors order, as path sums over _transfer_table of step
+    factors: _products of each step's count map at the point, as one exact
+    Fraction, or None where its denominator vanishes.
 
     A step factor whose denominator vanishes poisons every degree reached
     through it, and each poisoned degree falls back, in degree order, to the
@@ -235,8 +227,10 @@ def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> l
     does, and a vanishing step numerator is a genuine zero.  Every
     non-generic degree is thus poisoned, and the kernel raises there with
     its own NonGenericParameter."""
-    gammas, steps, layers, ends = _transfer_table(n, max_degree)
-    factors = [_step_factor(upper, lower, pt, chern) for upper, lower in steps]
+    gammas, steps, layers = _transfer_table(n, max_degree)
+    products = (_products(*characters.step_counts(upper, upper, lower), pt, chern)
+                for upper, lower in steps)
+    factors = [Fraction(top, bottom) if bottom else None for top, bottom in products]
     values, poisoned = [1] * (max_degree + 1), [False] * (max_degree + 1)
     for depth, (count, moves) in enumerate(layers):
         sums, hit = [0] * count, [False] * count
@@ -249,20 +243,14 @@ def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> l
             else:  # a first-layer target has one source, a row-0 state of value 1
                 sums[target] = factor
         values, poisoned = sums, hit
-    out = [Fraction(0)] * len(gammas)
-    fallback = set()
-    for (g, step), value, hit in zip(ends, values, poisoned):
-        if factors[step] is None or hit:
-            fallback.add(g)
-        else:
-            out[g] += value * factors[step]
     if not chern:
         ratio = pt.integer_scaling[1] / pt.x
-        out = [value * ratio ** (2 * sum(g)) for g, value in zip(gammas, out)]
+        values = [value * ratio ** (2 * sum(g)) for g, value in zip(gammas, values)]
     kernel = chern_series_coefficient if chern else volume_coefficient
-    for g in sorted(fallback):
-        out[g] = kernel(n, gammas[g], pt)
-    return out
+    for g, hit in enumerate(poisoned):
+        if hit:
+            values[g] = kernel(n, gammas[g], pt)
+    return values
 
 
 def chern_series_coefficients(n: int, max_degree: int, pt: ParameterPoint) -> list[Fraction]:

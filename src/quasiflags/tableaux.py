@@ -10,9 +10,9 @@ recover the degree vector of the component the point sits on.
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from itertools import product
 
-from .series import DegreeVector, check_degree_vector, compositions
+from .series import DegreeVector, check_degree_vector
 
 
 class Tableau:
@@ -92,11 +92,19 @@ class Tableau:
         return f"Tableau({list(map(list, self.rows))})"
 
 
+def row_heads(upper: tuple[int, ...], room: int):
+    """The first len(upper) entries of every row that may follow the row
+    `upper` top-down with entry sum at most room, in lex order: each entry
+    at most the one above it.  The last entry of the row is free."""
+    return (head for head in product(*(range(min(u, room) + 1) for u in upper))
+            if sum(head) <= room)
+
+
 def enumerate_fixed_points(n: int, gamma) -> list[Tableau]:
     """All tableaux of degree gamma, in lexicographic (row-major) order.
 
-    Recursion runs over rows from the longest (j = n-1) upward: row j is a
-    composition of d_j into j parts bounded below entrywise by row j+1.  Each
+    Rows are built top-down from row 1 = (d_1,): row j+1 takes its first j
+    entries by row_heads and its last entry fixes the row sum d_{j+1}.  Each
     (n, gamma) is enumerated once and cached; every call returns a fresh list.
     """
     if n < 2:
@@ -106,24 +114,11 @@ def enumerate_fixed_points(n: int, gamma) -> list[Tableau]:
 
 @lru_cache(maxsize=1024)  # one key per degree: 792 at n=6 D=7 and n=8 D=5
 def _fixed_points(n: int, gamma: DegreeVector) -> tuple[Tableau, ...]:
-    def build(j: int, lower: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        # lower = first j entries of row j+1 (all zero when j = n-1)
-        if j == 0:
-            yield ()
-            return
-        target = gamma[j - 1]
-        bound = lower[:j]
-        slack = target - sum(bound)
-        if slack < 0:
-            return
-        for extra in compositions(slack, j):
-            row = tuple(b + e for b, e in zip(bound, extra))
-            for above in build(j - 1, row):
-                yield above + (row,)
-
-    found = [Tableau(rows) for rows in build(n - 1, (0,) * (n - 1))]
-    found.sort(key=lambda t: t.as_flat_list())
-    return tuple(found)
+    partial = [((gamma[0],),)]
+    for total in gamma[1:]:
+        partial = [rows + (head + (total - sum(head),),)
+                   for rows in partial for head in row_heads(rows[-1], total)]
+    return tuple(Tableau(rows) for rows in partial)
 
 
 def cartan_eigenvalue(i: int, tableau: Tableau, pt) -> Fraction:

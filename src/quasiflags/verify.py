@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .characters import pair_counts, shift_defect, tangent_table, weight_table
 from .errors import InternalInconsistency, NonGenericParameter, ResonantParameter
-from .eigenfunctions import (apply_cs_operator, cs_coefficients,
+from .eigenfunctions import (apply_cs_operator, check_nonresonant, cs_coefficients,
                              cs_product_series, toda_coefficients)
 from .hall import (QuiverRepClass, all_ones_unitriangular, check_product_identity,
                    conjugator_check, hall_count, indecomposable_matrix,
@@ -114,8 +114,11 @@ def verify_main(n: int, max_degree: int, trials: int, seed: int,
     gammas = list(degree_vectors(n - 1, max_degree))
 
     def compute(pt: ParameterPoint) -> dict:
-        product = cs_product_series(n, pt.a_over_x(), pt.m, max_degree)
+        # resonance first, then the fixed-point side: a non-generic point is
+        # dropped before the eigenfunction product is computed
+        check_nonresonant(n, pt.a_over_x(), max_degree)
         lhs = chern_series_coefficients(n, max_degree, pt)
+        product = cs_product_series(n, pt.a_over_x(), pt.m, max_degree)
         rhs = [product.coefficient(g) for g in gammas]
         comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
         return {"comparisons": comparisons,
@@ -139,8 +142,9 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
 
     def compute(pt: ParameterPoint) -> dict:
         a_over_x = pt.a_over_x()
-        toda = toda_coefficients(n, a_over_x, max_degree, x=pt.x)
+        check_nonresonant(n, a_over_x, max_degree)
         lhs = volume_coefficients(n, max_degree, pt)
+        toda = toda_coefficients(n, a_over_x, max_degree, x=pt.x)
         rhs = [toda.coefficient(g) for g in gammas]
         comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
         gauge_toda = (toda if pt.x == 1
@@ -293,7 +297,7 @@ def twist_constant(n: int, m: int, pt: ParameterPoint) -> Fraction:
     # the zero pair's own pair character is empty, so its defect is minus the
     # genuine character of the pair (zero, zero + m); weight_table rejects
     # anything else
-    return weight_ratio((), weight_table(pair_counts(zero, zero.shift(m), n)), pt)
+    return weight_ratio(((), ()), weight_table(pair_counts(zero, zero.shift(m), n)), pt)
 
 
 def _twist_ratio_record(n, rng) -> dict:

@@ -240,8 +240,8 @@ def parsed_rows(char):
 
 
 def table_rows(table):
-    it = iter(table)
-    return sorted(zip(it, it, it, it))
+    keys, mults = table
+    return sorted((*key, mult) for key, mult in zip(keys, mults))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

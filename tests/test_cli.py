@@ -133,6 +133,9 @@ def test_inspect_series_denominator(capsys):
     ["properties", "--n", "1"],
     ["properties", "--a", "garbage"],
     ["properties", "--m", "1"],
+    # the stream keeps 64 bits: these would alias seeds 1 and 2^64 - 1
+    ["verify-main", "--seed", "18446744073709551617"],
+    ["verify-main", "--seed", "-1"],
 ])
 def test_usage_errors_exit_3_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:

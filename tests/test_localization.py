@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasiflags.characters import TorusWeight, pair_character, tangent_weights
-from quasiflags.errors import NonGenericParameter
-from quasiflags.localization import (ParameterPoint, _step_factor, _transfer_table,
+from quasiflags import characters
+from quasiflags.characters import (TorusWeight, pair_character, step_counts,
+                                   tangent_weights)
+from quasiflags.errors import InternalInconsistency, NonGenericParameter
+from quasiflags.localization import (ParameterPoint, _products, _transfer_table,
                                      chern_matrix_element, chern_ratio,
                                      chern_series_coefficient,
                                      chern_series_coefficients, evaluate_weight,
@@ -258,7 +260,8 @@ LOCAL_POLES = [
 @pytest.mark.parametrize("max_degree, pt, chern", LOCAL_POLES)
 def test_row_transfer_falls_back_at_local_poles(max_degree, pt, chern):
     steps = _transfer_table(pt.n, max_degree)[1]
-    assert any(_step_factor(upper, lower, pt, chern) is None for upper, lower in steps)
+    assert any(_products(*step_counts(upper, upper, lower), pt, chern)[1] == 0
+               for upper, lower in steps)
     assert_row_transfer_matches_kernel(pt.n, max_degree, pt)
 
 
@@ -273,3 +276,25 @@ def test_row_transfer_raises_as_the_kernel_does(n, max_degree, pt):
     with pytest.raises(NonGenericParameter):
         chern_series_coefficients(n, max_degree, pt)
     assert_row_transfer_matches_kernel(n, max_degree, pt)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda keys, mults: (keys + ((0, 0, 0),), mults + (1,)),
+     r"zero weight in flag step \(\d+,\) -> "),
+    (lambda keys, mults: (keys[1:], mults[1:]),
+     r"flag step .* has multiplicity -?\d+, expected -?\d+"),
+])
+def test_transfer_table_checks_every_flag_step(monkeypatch, fault, message):
+    """A step count map with a zero weight, or with a key missing, is caught
+    when the row-transfer graph is built."""
+    original = characters.step_counts
+    characters.clear_caches()
+    _transfer_table.cache_clear()
+    monkeypatch.setattr(characters, "step_counts", lambda *rows: fault(*original(*rows)))
+    try:
+        with pytest.raises(InternalInconsistency, match=message):
+            chern_series_coefficients(3, 2, _point((7, 2, -9), Fraction(3, 2)))
+    finally:
+        monkeypatch.undo()
+        characters.clear_caches()
+        _transfer_table.cache_clear()

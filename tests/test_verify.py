@@ -39,6 +39,18 @@ def test_verify_main_explicit_nongeneric_point_exhausts():
         verify_main(2, 4, trials=1, seed=0, explicit_point=pt)
 
 
+def test_nongeneric_point_skips_the_eigenfunction_product(monkeypatch):
+    """A point that kills a fixed-point denominator is dropped before the
+    analytic side runs: a = 0 is not resonant, but every a_j - a_j' vanishes."""
+    def forbidden(*args):
+        raise AssertionError("eigenfunction product computed at a non-generic point")
+
+    monkeypatch.setattr(verify, "cs_product_series", forbidden)
+    pt = ParameterPoint((Fraction(0),) * 3, Fraction(1), Fraction(1))
+    with pytest.raises(GenericityExhausted):
+        verify_main(3, 2, trials=1, seed=0, explicit_point=pt)
+
+
 def test_verify_toda_passes():
     report = verify_toda(3, 3, trials=3, seed=9)
     assert report["verdict"] == "pass"
