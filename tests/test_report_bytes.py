@@ -55,6 +55,14 @@ GOLDEN = [
      "e922ba543705b3c41a62aa0f0385786cf5cde283169182477eeda3604b8de373"),
     ("inspect tangent-weights --n 3 --tableau 2,1,1 --a 5,1,-6",
      "c8a09d2e28d8d561499244c9e5a7abc7ff232b1e06213c1d5148bb4d12eda04d"),
+    # explicit points with x != 1: the strong-coupling targets are rescaled
+    ("verify-toda --n 3 --max-degree 6 --trials 1 --a 5/3,1/2,-13/6 --x 2",
+     "5d1abad2acb01a927b39b3e613acd0661207e9e434f80bfed3c26a0891c864aa"),
+    ("verify-toda --n 4 --max-degree 5 --trials 1 --a 3/7,1/2,-1/3,-25/42 --x=-3/5",
+     "52e43e8c8e7fabcbdc33d0381f4c9ab6e952a97a709872b40feb1aa182acadd9"),
+    # census and Kostant counts up to rank 6
+    ("properties --n 6 --max-degree 3 --seed 5",
+     "34f2e3af99161dd8033422e000c35d320c96761aec87b991e359c255e7031583"),
 ]
 
 # the first vanishing weight is named in TorusWeight order
