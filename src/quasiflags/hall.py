@@ -200,7 +200,6 @@ def hall_count(sub: QuiverRepClass, quot: QuiverRepClass,
     if tuple(s + t for s, t in zip(sub_dims, quot_dims)) != dims:
         return 0
 
-    vertices = n - 1
     slots = {v: [(i, l, copy) for (i, l), k in ambient.items() for copy in range(k)
                  if i <= v < i + l] for v in range(1, n)}
 
@@ -227,43 +226,29 @@ def hall_count(sub: QuiverRepClass, quot: QuiverRepClass,
         return (_classify_by_ranks(sub_rank, sub_dims, n) == sub
                 and _classify_by_ranks(quot_rank, quot_dims, n) == quot)
 
-    count = 0
-    stack = [()]
-    while stack:
-        chosen = stack.pop()
-        v = len(chosen) + 1
-        if v > vertices:
-            count += matches(chosen)
-            continue
-        for basis in _all_subspaces(dims[v - 1], q):
-            if len(basis) == sub_dims[v - 1] and (v == 1 or closed(basis, chosen[-1], v)):
-                stack.append(chosen + (basis,))
-    return count
+    partial = [()]  # sub bases at vertices 1..v, closed under the edge maps so far
+    for v in range(1, n):
+        partial = [chosen + (basis,) for chosen in partial
+                   for basis in _all_subspaces(dims[v - 1], q)
+                   if len(basis) == sub_dims[v - 1] and (v == 1 or closed(basis, chosen[-1], v))]
+    return sum(map(matches, partial))
 
 
 def candidate_classes(dim_vector, n: int) -> list[QuiverRepClass]:
-    """Every isomorphism class with the given dimension vector."""
-    dim_vector = tuple(int(d) for d in dim_vector)
-    labels = [(i, l) for i in range(1, n) for l in range(1, n - i + 1)]
-
-    def walk(idx, remaining):
-        if all(r == 0 for r in remaining):
-            yield {k: v for k, v in accumulated.items() if v}
-            return
-        if idx == len(labels):
-            return
-        i, l = labels[idx]
-        max_k = min(remaining[v - 1] for v in range(i, i + l))
-        for k in range(max_k + 1):
-            accumulated[(i, l)] = k
-            reduced = list(remaining)
-            for v in range(i, i + l):
-                reduced[v - 1] -= k
-            yield from walk(idx + 1, tuple(reduced))
-        accumulated.pop((i, l), None)
-
-    accumulated: dict = {}
-    return sorted((QuiverRepClass(m) for m in walk(0, dim_vector)),
+    """Every isomorphism class with the given dimension vector, sorted by
+    label: one label (i, l) at a time, each partial class takes every
+    multiplicity its support leaves room for, and once the labels starting
+    at vertex i are done, only the partial classes that fill vertex i stay."""
+    partial = [((), tuple(int(d) for d in dim_vector))]  # (multiplicities, dimensions left)
+    for i in range(1, n):
+        for l in range(1, n - i + 1):
+            span = range(i - 1, i + l - 1)
+            partial = [(mults + (((i, l), k),),
+                        tuple(r - k if v in span else r for v, r in enumerate(left)))
+                       for mults, left in partial
+                       for k in range(min(left[v] for v in span) + 1)]
+        partial = [(mults, left) for mults, left in partial if left[i - 1] == 0]
+    return sorted((QuiverRepClass(mults) for mults, left in partial if not any(left)),
                   key=lambda c: c.label())
 
 

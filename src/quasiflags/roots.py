@@ -17,12 +17,8 @@ WeightVec = tuple[Fraction, ...]
 CoweightVec = tuple[Fraction, ...]
 
 
-def as_weight(coords) -> WeightVec:
-    return tuple(Fraction(c) for c in coords)
-
-
 def check_zero_sum(coords) -> WeightVec:
-    w = as_weight(coords)
+    w = tuple(Fraction(c) for c in coords)
     if sum(w) != 0:
         raise ValueError(f"weight coordinates must sum to zero: {coords}")
     return w
@@ -39,8 +35,7 @@ def simple_root(i: int, n: int) -> WeightVec:
     """alpha_i = w_i - w_{i+1}, 1-indexed."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"simple root index {i} out of range for n={n}")
-    return tuple(Fraction(1) if k == i else Fraction(-1) if k == i + 1 else Fraction(0)
-                 for k in range(1, n + 1))
+    return root_weight(i, i + 1, n)
 
 
 def root_weight(i: int, j: int, n: int) -> WeightVec:
@@ -92,32 +87,23 @@ def pairing(coweight, weight) -> Fraction:
 
 @lru_cache(maxsize=1024)  # one key per degree: 792 at n=6 D=7 and n=8 D=5
 def _kostant_cached(n: int, gamma: DegreeVector) -> int:
-    supports = root_lattice(n, 0).supports
-
-    def count(idx: int, remaining: tuple[int, ...]) -> int:
-        if all(r == 0 for r in remaining):
-            return 1
-        if idx == len(supports):
-            return 0
-        sup = supports[idx]
-        total = 0
-        mult = 0
-        current = remaining
-        while all(r >= 0 for r in current):
-            total += count(idx + 1, current)
-            mult += 1
-            current = tuple(r - s for r, s in zip(current, sup))
-        return total
-
-    return count(0, gamma)
+    ways = {gamma: 1}  # remainder of gamma -> ways to reach it with the roots so far
+    for sup in root_lattice(n, 0).supports:
+        step = {}
+        for rest, count in ways.items():
+            while min(rest) >= 0:
+                step[rest] = step.get(rest, 0) + count
+                rest = tuple(r - s for r, s in zip(rest, sup))
+        ways = step
+    return ways.get((0,) * (n - 1), 0)
 
 
 def kostant_count(gamma, n: int) -> int:
     """Number of multisets of positive roots summing to sum d_i alpha_i.
 
-    Computed by exhaustive enumeration over root multiplicities; this is the
-    independent counting oracle against which fixed-point enumeration is
-    checked.
+    Computed one positive root at a time over the remainders of gamma and
+    their numbers of ways; this is the independent counting oracle against
+    which fixed-point enumeration is checked.
     """
     gamma = check_degree_vector(gamma, n - 1)
     return _kostant_cached(n, gamma)

@@ -10,8 +10,6 @@ coefficient used to expand inverse powers of (1 - t).
 import re
 from fractions import Fraction
 
-Scalar = Fraction
-
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 

@@ -12,6 +12,7 @@ operation in the package is triangular.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 from typing import Iterator, NamedTuple
 
@@ -33,24 +34,14 @@ def check_degree_vector(gamma, rank: int) -> DegreeVector:
     return gamma
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers with the given sum, in lex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def degree_vectors(rank: int, max_total: int) -> Iterator[DegreeVector]:
-    """All degree vectors with total degree <= max_total, ordered by (total, lex)."""
+    """All degree vectors with total degree <= max_total, ordered by (total,
+    lex).  For each total, the rank - 1 bars among total + rank - 1 places
+    come in lex order, and so do the gaps between them, which are the parts."""
     for total in range(max_total + 1):
-        yield from compositions(total, rank)
+        end = total + rank - 1
+        for bars in combinations(range(end), rank - 1):
+            yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
 
 
 class Series:

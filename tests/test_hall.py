@@ -168,6 +168,19 @@ def test_candidate_classes_dimension_vector():
         assert c.dimension_vector(3) == (1, 1)
 
 
+def test_candidate_classes_match_a_filtered_product():
+    """Every multiplicity vector over the labels (i, l), each entry bounded by
+    the smallest dimension on its support, kept when the dimensions match."""
+    for n, dims in ((4, (2, 1, 2)), (4, (1, 3, 1)), (5, (2, 1, 2, 1)),
+                    (5, (1, 2, 2, 1)), (6, (1, 1, 2, 1, 1)), (6, (2, 1, 1, 1, 1))):
+        labels = [(i, l) for i in range(1, n) for l in range(1, n - i + 1)]
+        bounds = [range(min(dims[i - 1:i + l - 1]) + 1) for i, l in labels]
+        expected = [QuiverRepClass(zip(labels, ks)) for ks in iter_product(*bounds)]
+        expected = sorted((c for c in expected if c.dimension_vector(n) == dims),
+                          key=lambda c: c.label())
+        assert candidate_classes(dims, n) == expected, (n, dims)
+
+
 def test_product_identity_all_a2_indecomposables():
     indecs = [QuiverRepClass.indecomposable(1, 1),
               QuiverRepClass.indecomposable(2, 1),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +112,12 @@ def test_denominator_series_exponent_additivity():
 def test_degree_vectors_ordering():
     listed = list(degree_vectors(2, 2))
     assert listed == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    for rank in range(1, 8):
+        for max_total in range(6):
+            cube = product(range(max_total + 1), repeat=rank)
+            expected = sorted(filter(lambda g: sum(g) <= max_total, cube),
+                              key=lambda g: (sum(g), g))
+            assert list(degree_vectors(rank, max_total)) == expected
 
 
 @st.composite

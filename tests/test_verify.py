@@ -6,7 +6,7 @@ import pytest
 import quasiflags.characters as characters
 import quasiflags.localization as localization
 import quasiflags.verify as verify
-from quasiflags.eigenfunctions import toda_limit_ratios
+from quasiflags.eigenfunctions import toda_coefficients, toda_limit_ratios
 from quasiflags.errors import NonGenericParameter
 from quasiflags.localization import ParameterPoint
 from quasiflags.sampling import SplitMix64
@@ -152,6 +152,20 @@ def test_toda_diagnostics_are_the_limit_ratios():
             couplings = [Fraction(m) for m in diag["couplings"]]
             ratios = toda_limit_ratios(4, gamma, a_over_x, couplings)
             assert diag["ratios"] == [format_rational(r) for r in ratios]
+
+
+@pytest.mark.parametrize("n, max_degree, a, x", [
+    (3, 6, "5/3,1/2,-13/6", "2"),
+    (4, 5, "3/7,1/2,-1/3,-25/42", "-3/5"),
+])
+def test_toda_targets_at_x_other_than_one_are_the_unit_gauge_coefficients(n, max_degree, a, x):
+    pt = ParameterPoint(tuple(Fraction(v) for v in a.split(",")), Fraction(x))
+    trial = verify_toda(n, max_degree, trials=1, seed=1, explicit_point=pt)["trials"][0]
+    unit_gauge = toda_coefficients(n, pt.a_over_x(), 2)
+    assert len(trial["limit_diagnostics"]) == n - 1 + n * (n - 1) // 2
+    for diag in trial["limit_diagnostics"]:
+        gamma = tuple(int(d) for d in diag["gamma"].split(","))
+        assert diag["target"] == format_rational(unit_gauge.coefficient(gamma))
 
 
 def test_negative_multiplicity_witness_names_the_first_key(monkeypatch):
