@@ -63,6 +63,9 @@ GOLDEN = [
     # census and Kostant counts up to rank 6
     ("properties --n 6 --max-degree 3 --seed 5",
      "34f2e3af99161dd8033422e000c35d320c96761aec87b991e359c255e7031583"),
+    # the twist record redraws once at n=2, m=2; its y values echo the new point
+    ("properties --n 3 --max-degree 3 --seed 30",
+     "b4dcaba15e908e512eac2ca72898a5c63b45ea0f2f5ac6ef57079b93cdb41605"),
 ]
 
 # the first vanishing weight is named in TorusWeight order

@@ -123,6 +123,78 @@ def test_abandoned_point_leaves_no_witnesses(monkeypatch, record, args):
     assert rec["witnesses"] == []
 
 
+def _fails_once(original):
+    calls = []
+
+    def injected(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise NonGenericParameter("injected")
+        return original(*args, **kwargs)
+    return injected
+
+
+# at seed 2 the point drawn after the injected failure is generic in every case
+@pytest.mark.parametrize("patched, run, draws", [
+    ("twist_constant", lambda: verify._twist_ratio_record(2, SplitMix64(2)),
+     ["a", "a", "a"]),
+    ("chern_series_coefficient", lambda: verify._coupling_zero_record(2, 2, SplitMix64(2)),
+     ["a", "a"]),
+    ("chern_series_coefficient", lambda: verify._scaling_record(2, 2, SplitMix64(2)),
+     ["a", "m", "a", "m"]),
+    ("chern_series_coefficient", lambda: verify._strong_coupling_record(2, SplitMix64(2)),
+     ["a", "a"]),
+    ("cs_coefficients", lambda: verify._eigen_record(2, 2, SplitMix64(2)),
+     ["a", "m", "a", "m"]),
+    ("chern_series_coefficients", lambda: verify_main(2, 2, trials=1, seed=2),
+     ["a", "m", "a", "m"]),
+    ("volume_coefficients", lambda: verify_toda(2, 2, trials=1, seed=2),
+     ["a", "a"]),
+])
+def test_nongeneric_attempt_redraws_the_whole_point(monkeypatch, patched, run, draws):
+    """A point dropped as non-generic is redrawn whole: a first, then m when
+    m is sampled; a fixed or zero m takes nothing from the stream."""
+    log = []
+    draw_a, draw_m = verify.sample_zero_sum_integers, verify.sample_coupling
+
+    def logged_a(*args, **kwargs):
+        log.append("a")
+        return draw_a(*args, **kwargs)
+
+    def logged_m(*args, **kwargs):
+        log.append("m")
+        return draw_m(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "sample_zero_sum_integers", logged_a)
+    monkeypatch.setattr(verify, "sample_coupling", logged_m)
+    monkeypatch.setattr(verify, patched, _fails_once(getattr(verify, patched)))
+    result = run()
+    assert log == draws
+    if "trials" in result:
+        assert [t["resamples"] for t in result["trials"]] == [1]
+        assert result["verdict"] == "pass"
+    else:
+        assert result["passed"], result["witnesses"]
+
+
+def test_verify_main_gives_up_after_the_retry_budget(monkeypatch):
+    draws = []
+    draw_a = verify.sample_zero_sum_integers
+
+    def counted(*args):
+        draws.append(args)
+        return draw_a(*args)
+
+    def never_generic(*args):
+        raise NonGenericParameter("injected")
+
+    monkeypatch.setattr(verify, "sample_zero_sum_integers", counted)
+    monkeypatch.setattr(verify, "chern_series_coefficients", never_generic)
+    with pytest.raises(GenericityExhausted, match="^no generic point found in 64 resamples$"):
+        verify_main(2, 2, trials=1, seed=1)
+    assert len(draws) == 65
+
+
 def test_fault_free_after_cache_reset():
     report = verify_main(2, 4, trials=1, seed=5)
     assert report["verdict"] == "pass"
