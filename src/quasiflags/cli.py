@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .eigenfunctions import cs_coefficients, cs_product_series, toda_coefficients
-from .errors import NonGenericParameter, ResonantParameter
+from .errors import NonGenericParameter
 from .localization import ParameterPoint, evaluate_weight
 from .characters import pair_character, tangent_weights
 from .scalars import format_rational, parse_rational
@@ -64,7 +64,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _add_common(sub, verify=True):
     """Flags shared by the verify-* commands; properties (verify=False) takes
-    neither --trials nor an explicit point."""
+    neither --trials, --jobs nor an explicit point."""
     sub.add_argument("--n", type=int, default=3, help="rank parameter (default 3)")
     sub.add_argument("--max-degree", type=int, default=4,
                      help="total-degree truncation D (default 4)")
@@ -73,11 +73,11 @@ def _add_common(sub, verify=True):
                          help="number of sampled parameter points (default 5)")
     sub.add_argument("--seed", type=int, default=1,
                      help="seed for the splitmix64 sampling stream, 0 <= seed < 2^64")
+    if not verify:
+        return
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted and ignored, kept for compatibility "
                           "(degrees are evaluated serially)")
-    if not verify:
-        return
     sub.add_argument("--a", type=str, default=None,
                      help="explicit zero-sum torus point, comma-separated rationals")
     sub.add_argument("--m", type=_parse_rational_arg, default=None,
@@ -237,11 +237,11 @@ def main(argv=None) -> int:
             report = verify_toda(args.n, args.max_degree, args.trials, args.seed,
                                  explicit_point=pt, jobs=args.jobs)
         else:
-            report = run_properties(args.n, args.max_degree, args.seed, jobs=args.jobs)
+            report = run_properties(args.n, args.max_degree, args.seed)
     except GenericityExhausted as exc:
         print(f"genericity exhausted: {exc}", file=sys.stderr)
         return EXIT_NONGENERIC
-    except (NonGenericParameter, ResonantParameter) as exc:
+    except NonGenericParameter as exc:
         print(f"non-generic parameters: {exc}", file=sys.stderr)
         return EXIT_NONGENERIC
 

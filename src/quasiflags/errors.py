@@ -2,19 +2,20 @@
 
 Everything here signals a *recoverable* condition of the input data, with one
 exception: InternalInconsistency means a formula was transcribed wrongly and
-should never fire on a correct build.
+should never fire on a correct build.  ResonantParameter is a
+NonGenericParameter, so whoever redraws or reports a point catches one type.
 """
 
 
 class NonGenericParameter(Exception):
-    """A localization denominator vanished at the chosen parameter point.
+    """A side of an identity does not exist at the chosen parameter point.
 
     The caller is expected to resample the point; the locus of bad points is a
     finite union of hyperplanes.
     """
 
 
-class ResonantParameter(Exception):
+class ResonantParameter(NonGenericParameter):
     """The eigenfunction recursion hit (lam, lam) = s at lam != lam0.
 
     Generic highest weights never resonate; resampling fixes it.

@@ -6,12 +6,16 @@ assembles a machine-readable report.  Reports contain only mathematical data
 (no timestamps, no worker counts), are assembled in a fixed order, and render
 all scalars as exact rational strings, so a run is replayable and
 byte-reproducible from its seed and flags alone.
+
+Both sides of an identity exist only at generic points: every sampled point,
+in the verify runs and the property records alike, comes from _first_generic,
+which redraws a non-generic point at most RETRY_BUDGET times.
 """
 
 from fractions import Fraction
 
 from .characters import pair_counts, shift_defect, tangent_table, weight_table
-from .errors import InternalInconsistency, NonGenericParameter, ResonantParameter
+from .errors import InternalInconsistency, NonGenericParameter
 from .eigenfunctions import (apply_cs_operator, check_nonresonant, cs_coefficients,
                              cs_product_series, toda_coefficients)
 from .hall import (QuiverRepClass, all_ones_unitriangular, check_product_identity,
@@ -48,37 +52,37 @@ def _point_record(pt: ParameterPoint) -> dict:
     }
 
 
+def _first_generic(rng, n, coupling, compute, explicit_point=None):
+    """(point, resamples, compute(point)) at the first point where compute
+    raises no NonGenericParameter; a point draws a zero-sum a, then m =
+    coupling(rng), at x = 1, and is dropped whole, findings included.  Raises
+    GenericityExhausted after RETRY_BUDGET resamples or a non-generic explicit
+    point."""
+    for resamples in range(RETRY_BUDGET + 1):
+        pt = explicit_point
+        if pt is None:
+            a = sample_zero_sum_integers(rng, n)
+            pt = ParameterPoint(a, Fraction(1), coupling(rng))
+        try:
+            return pt, resamples, compute(pt)
+        except NonGenericParameter as exc:
+            if explicit_point is not None:
+                raise GenericityExhausted(f"explicit point is not generic: {exc}") from exc
+            if resamples == RETRY_BUDGET:
+                raise GenericityExhausted(
+                    f"no generic point found in {RETRY_BUDGET} resamples") from exc
+
+
 def _run_trials(command, n, max_degree, trials, seed, explicit_point, compute,
-                sample_m):
-    """Sample points (or reuse the explicit one), retrying on non-generic or
-    resonant draws; returns the report over the per-trial dicts of compute."""
+                coupling):
+    """One _first_generic point per trial (the explicit point makes a single
+    trial); returns the report over the per-trial dicts of compute."""
     rng = SplitMix64(seed)
     out = []
-    for trial in range(trials):
-        resamples = 0
-        while True:
-            if explicit_point is not None:
-                pt = explicit_point
-            else:
-                a = sample_zero_sum_integers(rng, n)
-                m = sample_coupling(rng) if sample_m else Fraction(0)
-                pt = ParameterPoint(a, Fraction(1), m)
-            try:
-                result = compute(pt)
-                break
-            except (NonGenericParameter, ResonantParameter) as exc:
-                if explicit_point is not None:
-                    raise GenericityExhausted(
-                        f"explicit point is not generic: {exc}") from exc
-                resamples += 1
-                if resamples > RETRY_BUDGET:
-                    raise GenericityExhausted(
-                        f"no generic point found in {RETRY_BUDGET} resamples") from exc
-        result = {"trial": trial, "point": _point_record(pt),
-                  "resamples": resamples, **result}
-        out.append(result)
-        if explicit_point is not None:
-            break
+    for trial in range(trials if explicit_point is None else 1):
+        pt, resamples, result = _first_generic(rng, n, coupling, compute, explicit_point)
+        out.append({"trial": trial, "point": _point_record(pt),
+                    "resamples": resamples, **result})
     return {
         "command": command,
         "parameters": {"n": n, "max_degree": max_degree, "trials": trials,
@@ -126,7 +130,7 @@ def verify_main(n: int, max_degree: int, trials: int, seed: int,
                 "first_mismatch": first_mismatch}
 
     return _run_trials("verify-main", n, max_degree, trials, seed, explicit_point,
-                       compute, sample_m=True)
+                       compute, sample_coupling)
 
 
 TODA_DIAGNOSTIC_COUPLINGS = (100, 10_000, 1_000_000)
@@ -177,26 +181,13 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
                 "all_equal": ok, "first_mismatch": first_mismatch}
 
     return _run_trials("verify-toda", n, max_degree, trials, seed, explicit_point,
-                       compute, sample_m=False)
+                       compute, lambda rng: 0)
 
 
 # -- property suites ----------------------------------------------------------
 
-def _first_generic(attempt, exhausted):
-    """Return attempt() from the first call that completes; each call draws
-    its own point, and a call that meets a non-generic or resonant point is
-    dropped whole, findings included.  Returns exhausted when RETRY_BUDGET
-    calls all fail."""
-    for _ in range(RETRY_BUDGET):
-        try:
-            return attempt()
-        except (NonGenericParameter, ResonantParameter):
-            continue
-    return exhausted
-
-
-def _record(name, scale, passed, witnesses=None, detail=None) -> dict:
-    rec = {"name": name, "scale": scale, "passed": bool(passed),
+def _record(name, scale, witnesses=None, detail=None) -> dict:
+    rec = {"name": name, "scale": scale, "passed": not witnesses,
            "witnesses": witnesses or []}
     if detail is not None:
         rec["detail"] = detail
@@ -217,8 +208,7 @@ def _census_record(n, max_degree) -> dict:
             if len(set(points)) != len(points):
                 witnesses.append(f"n={nn} gamma={format_gamma(gamma)}: duplicates")
     return _record("fixed-point census matches partition count",
-                   f"n<={n}, |gamma|<={max_degree}, {checked} degrees",
-                   not witnesses, witnesses)
+                   f"n<={n}, |gamma|<={max_degree}, {checked} degrees", witnesses)
 
 
 def _dimension_record(n, max_degree) -> dict:
@@ -231,7 +221,7 @@ def _dimension_record(n, max_degree) -> dict:
             if lhs != rhs:
                 witnesses.append(f"n={nn} gamma={format_gamma(gamma)}")
     return _record("component dimension equals twice the coweight pairing",
-                   f"n<={n}, |gamma|<={max_degree}", not witnesses, witnesses)
+                   f"n<={n}, |gamma|<={max_degree}", witnesses)
 
 
 def _character_record(n, max_degree) -> dict:
@@ -263,8 +253,7 @@ def _character_record(n, max_degree) -> dict:
                 witnesses.append(f"n={nn} tangent failure at {d.as_flat_list()}: {exc}")
     return _record("pair characters have bundle rank, no negative multiplicity; "
                    "diagonals are genuine tangent spaces",
-                   f"n<={n}, row sums<={bound}, {pairs} pairs",
-                   not witnesses, witnesses[:8])
+                   f"n<={n}, row sums<={bound}, {pairs} pairs", witnesses[:8])
 
 
 def _shift_defect_record(n) -> dict:
@@ -285,7 +274,7 @@ def _shift_defect_record(n) -> dict:
             elif tuple(baseline.as_sorted_triples()) not in distinct:
                 witnesses.append(f"n={nn} m={m}: defect differs from the zero-pair value")
     return _record("x-shift versus tableau-shift defect is pair-independent",
-                   f"n<={min(n, 3)}, m in 1..3, 8 pairs each", not witnesses, witnesses)
+                   f"n<={min(n, 3)}, m in 1..3, 8 pairs each", witnesses)
 
 
 def twist_constant(n: int, m: int, pt: ParameterPoint) -> Fraction:
@@ -305,9 +294,7 @@ def _twist_ratio_record(n, rng) -> dict:
     values = []
     for nn in range(2, min(n, 3) + 1):
         for m_int in (1, 2):
-            def attempt():
-                a = sample_zero_sum_integers(rng, nn)
-                pt = ParameterPoint(a, Fraction(1), Fraction(m_int))
+            def attempt(pt):
                 y = twist_constant(nn, m_int, pt)
                 tabs = [t for g in degree_vectors(nn - 1, 2)
                         for t in enumerate_fixed_points(nn, g)]
@@ -320,11 +307,7 @@ def _twist_ratio_record(n, rng) -> dict:
                         bad.append((dp, d))
                 return y, bad
 
-            found = _first_generic(attempt, None)
-            if found is None:
-                witnesses.append(f"n={nn} m={m_int}: no generic point")
-                continue
-            y, bad = found
+            _, _, (y, bad) = _first_generic(rng, nn, lambda rng: m_int, attempt)
             if bad:
                 witnesses.append(f"n={nn} m={m_int}: {len(bad)} pairs off constant")
             else:
@@ -332,13 +315,11 @@ def _twist_ratio_record(n, rng) -> dict:
     return _record("matrix elements at coupling m are a single constant times "
                    "the zero-coupling elements of the shifted pair",
                    f"n<={min(n, 3)}, integer m in {{1,2}}, 8 pairs",
-                   not witnesses, witnesses, detail=values)
+                   witnesses, detail=values)
 
 
 def _coupling_zero_record(n, max_degree, rng) -> dict:
-    def attempt():
-        a = sample_zero_sum_integers(rng, n)
-        pt = ParameterPoint(a, Fraction(1), Fraction(0))
+    def attempt(pt):
         found = []
         for gamma in degree_vectors(n - 1, max_degree):
             value = chern_series_coefficient(n, gamma, pt)
@@ -346,18 +327,15 @@ def _coupling_zero_record(n, max_degree, rng) -> dict:
                 found.append(f"gamma={format_gamma(gamma)}: {value}")
         return found
 
-    witnesses = _first_generic(attempt, ["no generic point"])
+    _, _, witnesses = _first_generic(rng, n, lambda rng: 0, attempt)
     return _record("zero-coupling series counts the fixed points",
-                   f"n={n}, |gamma|<={max_degree}", not witnesses, witnesses)
+                   f"n={n}, |gamma|<={max_degree}", witnesses)
 
 
 def _scaling_record(n, max_degree, rng) -> dict:
     bound = min(max_degree, 3)
 
-    def attempt():
-        a = sample_zero_sum_integers(rng, n)
-        m = sample_coupling(rng)
-        pt = ParameterPoint(a, Fraction(1), m)
+    def attempt(pt):
         found = []
         for t in (Fraction(2), Fraction(-3), Fraction(5, 7)):
             scaled = pt.scaled(t)
@@ -373,15 +351,13 @@ def _scaling_record(n, max_degree, rng) -> dict:
                     found.append(f"volume scaling off at {format_gamma(gamma)}, t={t}")
         return found
 
-    witnesses = _first_generic(attempt, ["no generic point"])
+    _, _, witnesses = _first_generic(rng, n, sample_coupling, attempt)
     return _record("homogeneity: chern series is gauge-invariant, volumes scale by t^(-dim)",
-                   f"n={n}, |gamma|<={bound}, t in {{2, -3, 5/7}}", not witnesses, witnesses)
+                   f"n={n}, |gamma|<={bound}, t in {{2, -3, 5/7}}", witnesses)
 
 
 def _strong_coupling_record(n, rng) -> dict:
-    def attempt():
-        a = sample_zero_sum_integers(rng, n)
-        pt = ParameterPoint(a, Fraction(1), Fraction(0))
+    def attempt(pt):
         found = []
         for gamma in degree_vectors(n - 1, 2):
             if total_degree(gamma) == 0:
@@ -395,27 +371,27 @@ def _strong_coupling_record(n, rng) -> dict:
                 found.append(f"gamma={format_gamma(gamma)}: ratios {ratios}")
         return found
 
-    witnesses = _first_generic(attempt, ["no generic point"])
+    _, _, witnesses = _first_generic(rng, n, lambda rng: 0, attempt)
     return _record("strong-coupling series approaches the volume series",
-                   f"n={n}, |gamma|<=2, m in {{1e3, 1e6}}", not witnesses, witnesses)
+                   f"n={n}, |gamma|<=2, m in {{1e3, 1e6}}", witnesses)
 
 
 def _eigen_record(n, max_degree, rng) -> dict:
     witnesses = []
     degree = min(max_degree, 4)
     for nn in range(2, min(n, 3) + 1):
-        def attempt():
-            a = sample_zero_sum_integers(rng, nn)
-            m = sample_coupling(rng, forbid=(0, -1))
-            series = cs_coefficients(nn, a, m, degree)
-            image = apply_cs_operator(series, m, degree)
+        def attempt(pt):
+            series = cs_coefficients(nn, pt.a, pt.m, degree)
+            image = apply_cs_operator(series, pt.m, degree)
             if image != series.tail.scale(series.eigenvalue):
                 return [f"n={nn}: operator image differs from s * series"]
             return []
 
-        witnesses += _first_generic(attempt, [f"n={nn}: no generic highest weight"])
+        _, _, found = _first_generic(rng, nn, lambda rng: sample_coupling(rng, forbid=(0, -1)),
+                                     attempt)
+        witnesses += found
     return _record("operator image of the eigen series is s times the series",
-                   f"n<={min(n, 3)}, D={degree}", not witnesses, witnesses)
+                   f"n<={min(n, 3)}, D={degree}", witnesses)
 
 
 def _nongeneric_surface_record(n) -> dict:
@@ -428,10 +404,10 @@ def _nongeneric_surface_record(n) -> dict:
     try:
         chern_series_coefficient(nn, gamma, pt)
     except NonGenericParameter:
-        return _record(name, f"n={nn}", True)
+        return _record(name, f"n={nn}")
     except Exception as exc:  # noqa: BLE001 - the point is that nothing else escapes
-        return _record(name, f"n={nn}", False, [f"raised {type(exc).__name__} instead"])
-    return _record(name, f"n={nn}", False, ["no error raised"])
+        return _record(name, f"n={nn}", [f"raised {type(exc).__name__} instead"])
+    return _record(name, f"n={nn}", ["no error raised"])
 
 
 def _cartan_record(n, rng) -> dict:
@@ -447,7 +423,7 @@ def _cartan_record(n, rng) -> dict:
                 if direct != via_pairing:
                     witnesses.append(f"i={i} gamma={format_gamma(gamma)}")
     return _record("Cartan eigenvalues agree with the weight-pairing form",
-                   f"n={n}, |gamma|<=3", not witnesses, witnesses)
+                   f"n={n}, |gamma|<=3", witnesses)
 
 
 def _algebra_records(n, rng) -> list[dict]:
@@ -466,7 +442,7 @@ def _algebra_records(n, rng) -> list[dict]:
                 if not power.is_zero():
                     witnesses.append(f"n={nn} [{i};{l}] not nilpotent")
     records.append(_record("iterated commutators collapse to matrix units",
-                           "n<=6, all [i;l]", not witnesses, witnesses))
+                           "n<=6, all [i;l]", witnesses))
 
     witnesses = []
     for nn in range(2, 7):
@@ -486,7 +462,7 @@ def _algebra_records(n, rng) -> list[dict]:
                 witnesses.append(f"n={nn} ascending order should break the identity")
     records.append(_record("descending root exponentials give the all-ones matrix "
                            "(and ascending order does not)",
-                           "n<=6", not witnesses, witnesses))
+                           "n<=6", witnesses))
 
     witnesses = []
     examples = [
@@ -504,7 +480,7 @@ def _algebra_records(n, rng) -> list[dict]:
                 witnesses.append(f"{sub.label()},{quot.label()} in {ambient.label()} "
                                  f"at q={q}: {got} != {expected}")
     records.append(_record("reference subrepresentation counts at q = 2, 3",
-                           "three A_2 ambients", not witnesses, witnesses))
+                           "three A_2 ambients", witnesses))
 
     witnesses = []
     indecs = [QuiverRepClass.indecomposable(1, 1), QuiverRepClass.indecomposable(2, 1),
@@ -515,7 +491,7 @@ def _algebra_records(n, rng) -> list[dict]:
             if not result["holds"]:
                 witnesses.append(f"{left.label()} * {right.label()}")
     records.append(_record("structure constants reproduce all A_2 matrix products",
-                           "9 products of indecomposables", not witnesses, witnesses))
+                           "9 products of indecomposables", witnesses))
 
     witnesses = []
     for nn in range(2, 6):
@@ -525,13 +501,13 @@ def _algebra_records(n, rng) -> list[dict]:
             if not report["passed"]:
                 witnesses.append(f"n={nn} t={report['t']}")
     records.append(_record("conjugator identities hold at random scale points",
-                           "n<=5, 10 tuples each", not witnesses, witnesses))
+                           "n<=5, 10 tuples each", witnesses))
     return records
 
 
-def run_properties(n: int, max_degree: int, seed: int, jobs: int = 1) -> dict:
-    """Run every cross-module invariant suite at the given scale.  `jobs` is
-    accepted and ignored, kept for compatibility."""
+def run_properties(n: int, max_degree: int, seed: int) -> dict:
+    """Run every cross-module invariant suite at the given scale.  Raises
+    GenericityExhausted when a sampled record finds no generic point."""
     rng = SplitMix64(seed)
     records = [
         _census_record(n, max_degree),

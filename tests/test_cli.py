@@ -3,6 +3,8 @@ import json
 import pytest
 
 import quasiflags.cli as cli
+import quasiflags.verify as verify
+from quasiflags.errors import NonGenericParameter
 from quasiflags.verify import verify_main
 
 
@@ -60,6 +62,17 @@ def test_exit_code_nongeneric(capsys):
     assert code == 2
     assert out == ""
     assert "genericity" in err
+
+
+def test_properties_exit_2_when_genericity_is_exhausted(capsys, monkeypatch):
+    def never_generic(*args):
+        raise NonGenericParameter("injected")
+
+    monkeypatch.setattr(verify, "twist_constant", never_generic)
+    code, out, err = run_cli(capsys, "properties", "--n", "3", "--max-degree", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "genericity exhausted: no generic point found in 64 resamples\n"
 
 
 def test_exit_code_usage_error(capsys):
@@ -133,6 +146,7 @@ def test_inspect_series_denominator(capsys):
     ["properties", "--n", "1"],
     ["properties", "--a", "garbage"],
     ["properties", "--m", "1"],
+    ["properties", "--jobs", "2"],
     # the stream keeps 64 bits: these would alias seeds 1 and 2^64 - 1
     ["verify-main", "--seed", "18446744073709551617"],
     ["verify-main", "--seed", "-1"],

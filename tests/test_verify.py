@@ -177,7 +177,12 @@ def test_nongeneric_attempt_redraws_the_whole_point(monkeypatch, patched, run, d
         assert result["passed"], result["witnesses"]
 
 
-def test_verify_main_gives_up_after_the_retry_budget(monkeypatch):
+# the twist record is the first property record that draws a point
+@pytest.mark.parametrize("patched, run", [
+    ("chern_series_coefficients", lambda: verify_main(2, 2, trials=1, seed=1)),
+    ("twist_constant", lambda: run_properties(3, 3, seed=1)),
+])
+def test_genericity_is_exhausted_after_65_draws(monkeypatch, patched, run):
     draws = []
     draw_a = verify.sample_zero_sum_integers
 
@@ -189,9 +194,9 @@ def test_verify_main_gives_up_after_the_retry_budget(monkeypatch):
         raise NonGenericParameter("injected")
 
     monkeypatch.setattr(verify, "sample_zero_sum_integers", counted)
-    monkeypatch.setattr(verify, "chern_series_coefficients", never_generic)
+    monkeypatch.setattr(verify, patched, never_generic)
     with pytest.raises(GenericityExhausted, match="^no generic point found in 64 resamples$"):
-        verify_main(2, 2, trials=1, seed=1)
+        run()
     assert len(draws) == 65
 
 
