@@ -27,6 +27,9 @@ GOLDEN = [
     # n=8: many fixed points share flag-step rows
     ("verify-main --n 8 --max-degree 3 --trials 1 --seed 1",
      "ed4c181f327ebbe10673f121263f9751f217a8d29ffb5c9153485ecb4f8ea7ec"),
+    # the benchmark's main-wide size: five row-transfer layers, 792 degrees
+    ("verify-main --n 8 --max-degree 5 --trials 3 --seed 1",
+     "97f3c3b8ce4772d384c02e8f5aea12817b2a1fd7cd31229286075e936c8ad145"),
     # generic points where a flag-step factor has a local pole
     ("verify-main --n 8 --max-degree 3 --trials 1 --seed 8",
      "6705515cbad937c3c6882bd7deae810b0bc1528a032f0742bc779d1e58912770"),
