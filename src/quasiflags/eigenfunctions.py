@@ -13,13 +13,14 @@ factored out by reindexing lam = lam0 + gamma, never carried symbolically.
 
 All walks run on the cached series.root_lattice of (n, D).  Each gap
 (lam, lam) - s is an integer over the lcm of the denominators of lam0, so
-resonance is decided before the recursion starts.  The CS recursion and the
-operator check share one walk of per-root prefix chain sums (_chain_sums).
+resonance is decided once, before the recursion starts.  The CS recursion and
+the operator check share one walk of per-root prefix chain sums (_chain_sums),
+on int numerator and denominator lists with one Fraction per coefficient.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ResonantParameter
 from .roots import WeightVec, check_zero_sum, inner
@@ -45,26 +46,32 @@ class EigenSeries:
         return self.tail.coefficient(gamma)
 
 
-def _chain_sums(lattice: RootLattice, c: list):
+def _chain_sums(lattice: RootLattice, cn: list, cd: list):
     """Yield, for i = 1, 2, ..., the sum over positive roots alpha and j >= 1
-    of j c[gamma - j alpha], gamma the i-th degree vector, from two prefix
-    arrays per root: S[i] = c[p] + S[p] and T[i] = S[i] + T[p], p = prev[i].
+    of j c[gamma - j alpha], c = cn / cd and gamma the i-th degree vector, as
+    an unreduced int pair, from two prefix arrays per root of reduced int
+    pairs: S[i] = c[p] + S[p] and T[i] = S[i] + T[p], p = prev[i].
     c is read lazily, so the consumer may set c[i] before the next sum."""
     size = len(lattice.vectors)
-    roots = [(prev, [0] * size, [0] * size) for prev in lattice.prev]
+    roots = [(prev, [0] * size, [1] * size, [0] * size, [1] * size) for prev in lattice.prev]
     for i in range(1, size):
-        acc = 0
-        for prev, s, t in roots:
+        num, den = 0, 1
+        for prev, sn, sd, tn, td in roots:
             p = prev[i]
             if p < 0:
                 continue
             if prev[p] < 0:  # the chain has one term
-                s[i] = t[i] = c[p]
+                sn[i] = tn[i] = cn[p]
+                sd[i] = td[i] = cd[p]
             else:
-                s[i] = c[p] + s[p]
-                t[i] = s[i] + t[p]
-            acc += t[i]
-        yield acc
+                a, b = cn[p] * sd[p] + sn[p] * cd[p], cd[p] * sd[p]
+                g = gcd(a, b)
+                sn[i], sd[i] = a // g, b // g
+                a, b = sn[i] * td[p] + tn[p] * sd[i], sd[i] * td[p]
+                g = gcd(a, b)
+                tn[i], td[i] = a // g, b // g
+            num, den = num * td[i] + tn[i] * den, den * td[i]
+        yield num, den
 
 
 def _integer_gaps(lattice: RootLattice, lam0) -> tuple[int, list[int]]:
@@ -93,21 +100,24 @@ def check_nonresonant(n, a_over_x, degree) -> tuple[WeightVec, RootLattice, int,
     return lam0, lattice, scale, gaps
 
 
-def _eigen_recursion(n, a_over_x, degree, coupling, walk) -> tuple[WeightVec, RootLattice, list]:
-    """Shared driver: decide resonance (check_nonresonant), then fill the
-    coefficient list in (total, lex) order by c = coupling L walk / G, where
-    walk(lattice, c) yields, for i = 1, 2, ..., the right side of the
-    recursion at the i-th degree vector from the lower-degree coefficients
-    already in c."""
-    lam0, lattice, scale, gaps = check_nonresonant(n, a_over_x, degree)
-    factor = coupling * scale
-    c = [Fraction(1)] + [Fraction(0)] * (len(gaps) - 1)
-    for i, total in enumerate(walk(lattice, c), 1):
-        c[i] = factor * total / gaps[i]
-    return lam0, lattice, c
+def _eigen_recursion(checked, coupling, walk) -> list[Fraction]:
+    """Shared driver on a check_nonresonant result: fill the coefficient list
+    in (total, lex) order by c = coupling L walk / G, one gcd per int pair,
+    where walk(lattice, cn, cd) yields, for i = 1, 2, ..., the right side of
+    the recursion at the i-th degree vector as an int pair, from the
+    lower-degree coefficients already in cn / cd."""
+    _, lattice, scale, gaps = checked
+    top, bottom = coupling.numerator * scale, coupling.denominator
+    cn, cd = [1] + [0] * (len(gaps) - 1), [1] * len(gaps)
+    for i, (num, den) in enumerate(walk(lattice, cn, cd), 1):
+        num, den = top * num, bottom * den * gaps[i]
+        g = gcd(num, den)
+        cn[i], cd[i] = num // g, den // g
+    return list(map(Fraction, cn, cd))
 
 
-def _eigen_series(n, lam0, lattice, c) -> EigenSeries:
+def _eigen_series(n, checked, c) -> EigenSeries:
+    lam0, lattice = checked[:2]
     tail = Series(n - 1, lattice.degree, dict(zip(lattice.vectors, c)))
     return EigenSeries(lam0, tail, inner(lam0, lam0))
 
@@ -116,32 +126,53 @@ def cs_coefficients(n: int, a_over_x, m, degree: int) -> EigenSeries:
     """Calogero-Sutherland eigenfunction tail with coupling m, through total
     degree `degree`.  Raises ResonantParameter on a non-generic base point."""
     m = Fraction(m)
-    return _eigen_series(n, *_eigen_recursion(n, a_over_x, degree, 2 * m * (m + 1), _chain_sums))
+    checked = check_nonresonant(n, a_over_x, degree)
+    return _eigen_series(n, checked, _eigen_recursion(checked, 2 * m * (m + 1), _chain_sums))
 
 
-def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeries:
-    """Toda eigenfunction tail: only simple roots contribute, with coupling
-    2/x^2 (2 in the default gauge x = 1)."""
+def toda_tail_coefficients(n: int, a_over_x, degree: int, x=Fraction(1),
+                           checked=None) -> list[Fraction]:
+    """Toda eigenfunction tail in degree_vectors order: only simple roots
+    contribute, with coupling 2/x^2 (2 in the default gauge x = 1).  `checked`
+    is the caller's check_nonresonant(n, a_over_x, degree), if it has one."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
 
-    def first_neighbours(lattice, c):  # the n - 1 simple roots come first
-        return (sum(c[prev[i]] for prev in lattice.prev[:n - 1] if prev[i] >= 0)
-                for i in range(1, len(c)))
+    def first_neighbours(lattice, cn, cd):  # the n - 1 simple roots come first
+        for i in range(1, len(cn)):
+            num, den = 0, 1
+            for prev in lattice.prev[:n - 1]:
+                if (p := prev[i]) >= 0:
+                    num, den = num * cd[p] + cn[p] * den, den * cd[p]
+            yield num, den
 
-    return _eigen_series(n, *_eigen_recursion(n, a_over_x, degree, 2 / (x * x),
-                                              first_neighbours))
+    return _eigen_recursion(checked or check_nonresonant(n, a_over_x, degree),
+                            2 / (x * x), first_neighbours)
+
+
+def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeries:
+    """toda_tail_coefficients as an EigenSeries."""
+    checked = check_nonresonant(n, a_over_x, degree)
+    return _eigen_series(n, checked, toda_tail_coefficients(n, a_over_x, degree, x, checked))
+
+
+def cs_product_coefficients(n: int, a_over_x, m, degree: int, checked=None) -> list[Fraction]:
+    """The eigenfunction side of the Chern-series identity in degree_vectors
+    order: the CS tail times the (m+1)-st inverse power of the Weyl-denominator
+    product over positive roots, folded into the tail in place
+    (series.weyl_fold).  `checked` as for toda_tail_coefficients."""
+    m = Fraction(m)
+    checked = checked or check_nonresonant(n, a_over_x, degree)
+    c = _eigen_recursion(checked, 2 * m * (m + 1), _chain_sums)
+    weyl_fold(checked[1], c, m)
+    return c
 
 
 def cs_product_series(n: int, a_over_x, m, degree: int) -> Series:
-    """The eigenfunction side of the Chern-series identity: the CS tail times
-    the (m+1)-st inverse power of the Weyl-denominator product over positive
-    roots, folded into the tail in place (series.weyl_fold)."""
-    m = Fraction(m)
-    _, lattice, c = _eigen_recursion(n, a_over_x, degree, 2 * m * (m + 1), _chain_sums)
-    weyl_fold(lattice, c, m)
-    return Series(n - 1, degree, dict(zip(lattice.vectors, c)))
+    """cs_product_coefficients as a Series."""
+    c = cs_product_coefficients(n, a_over_x, m, degree)
+    return Series(n - 1, degree, dict(zip(root_lattice(n, degree).vectors, c)))
 
 
 def apply_cs_operator(series: EigenSeries, m, degree: int) -> Series:
@@ -158,7 +189,8 @@ def apply_cs_operator(series: EigenSeries, m, degree: int) -> Series:
     scale, gaps = _integer_gaps(lattice, series.base)
     s = inner(series.base, series.base)
     c = [series.tail.coeffs.get(g, Fraction(0)) for g in lattice.vectors]
-    sums = [0, *_chain_sums(lattice, c)]
+    walk = _chain_sums(lattice, [x.numerator for x in c], [x.denominator for x in c])
+    sums = [0, *(Fraction(num, den) for num, den in walk)]
     out = {g: (s + Fraction(gap, scale)) * c[i] - coupling * sums[i]
            for i, (g, gap) in enumerate(zip(lattice.vectors, gaps))}
     return Series(series.rank, lattice.degree, out)

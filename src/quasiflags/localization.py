@@ -17,7 +17,7 @@ two consecutive rows only; chern_series_coefficients and volume_coefficients
 sum those step factors along a row-transfer graph, with no fixed point
 enumerated and no tangent table built, and fall back to the kernel at the
 degrees a local pole of a step factor reaches.  Both read their weights
-through one integer evaluator, _products.
+through one integer evaluator, _products, and the row-transfer sums stay on ints.
 """
 
 import math
@@ -216,41 +216,38 @@ def _transfer_table(n: int, max_degree: int):
 def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> list[Fraction]:
     """Every Chern (chern) or volume coefficient with |gamma| <= D, in
     degree_vectors order, as path sums over _transfer_table of step
-    factors: _products of each step's count map at the point, as one exact
-    Fraction, or None where its denominator vanishes.
+    factors: _products of each step's count map at the point, an int pair
+    (top, bottom).  A state sums its sources on unreduced int pairs, with one
+    gcd when its layer is done; each degree then makes one Fraction.
 
     A step factor whose denominator vanishes poisons every degree reached
-    through it, and each poisoned degree falls back, in degree order, to the
-    per-point kernel at that degree alone.  That is exact: a tangent weight
-    of positive multiplicity sits with positive multiplicity in some step's
-    denominator, so where no step denominator vanishes no tangent weight
-    does, and a vanishing step numerator is a genuine zero.  Every
-    non-generic degree is thus poisoned, and the kernel raises there with
-    its own NonGenericParameter."""
+    through it (its bottom, a product, stays 0), and each poisoned degree
+    falls back, in degree order, to the per-point kernel at that degree
+    alone.  That is exact: a tangent weight of positive multiplicity sits
+    with positive multiplicity in some step's denominator, so where no step
+    denominator vanishes no tangent weight does, and a vanishing step
+    numerator is a genuine zero.  Every non-generic degree is thus poisoned,
+    and the kernel raises there with its own NonGenericParameter."""
     gammas, steps, layers = _transfer_table(n, max_degree)
-    products = (_products(*characters.step_counts(upper, upper, lower), pt, chern)
-                for upper, lower in steps)
-    factors = [Fraction(top, bottom) if bottom else None for top, bottom in products]
-    values, poisoned = [1] * (max_degree + 1), [False] * (max_degree + 1)
-    for depth, (count, moves) in enumerate(layers):
-        sums, hit = [0] * count, [False] * count
-        for source, step, target in moves:
-            factor = factors[step]
-            if factor is None or poisoned[source]:
-                hit[target] = True
-            elif depth:
-                sums[target] += values[source] * factor
-            else:  # a first-layer target has one source, a row-0 state of value 1
-                sums[target] = factor
-        values, poisoned = sums, hit
-    if not chern:
-        ratio = pt.integer_scaling[1] / pt.x
-        values = [value * ratio ** (2 * sum(g)) for g, value in zip(gammas, values)]
+    factors = [_products(*characters.step_counts(upper, upper, lower), pt, chern)
+               for upper, lower in steps]
+    tops = bottoms = [1] * (max_degree + 1)
+    for count, moves in layers:
+        nums, dens = [0] * count, [1] * count
+        for source, step, target in moves:  # cross-multiplied, unreduced
+            top, bottom = factors[step]
+            top, bottom = tops[source] * top, bottoms[source] * bottom
+            nums[target] = nums[target] * bottom + top * dens[target]
+            dens[target] *= bottom
+        divisors = [math.gcd(a, b) or 1 for a, b in zip(nums, dens)]  # a poisoned 0/0 stays
+        tops = [a // g for a, g in zip(nums, divisors)]
+        bottoms = [b // g for b, g in zip(dens, divisors)]
+    # a volume degree scales by (L/x)^(2|gamma|) = (p/q)^(2|gamma|)
+    ratio = pt.integer_scaling[1] / pt.x
+    p, q = (1, 1) if chern else (ratio.numerator, ratio.denominator)
     kernel = chern_series_coefficient if chern else volume_coefficient
-    for g, hit in enumerate(poisoned):
-        if hit:
-            values[g] = kernel(n, gammas[g], pt)
-    return values
+    return [Fraction(top * p ** (2 * sum(g)), bottom * q ** (2 * sum(g))) if bottom
+            else kernel(n, g, pt) for g, top, bottom in zip(gammas, tops, bottoms)]
 
 
 def chern_series_coefficients(n: int, max_degree: int, pt: ParameterPoint) -> list[Fraction]:

@@ -4,7 +4,7 @@ The verification commands must be replayable from the seed alone, on any
 platform, so randomness comes from an explicit splitmix64 stream (the 64-bit
 mixer from Steele-Lea-Flood's SplittableRandom): state advances by the golden
 gamma 0x9e3779b97f4a7c15 and each output is finalized with two xor-shift
-multiplies.  Every sampled value is also echoed into the report.
+multiplies.  The verify-* reports echo each trial's point and resample count.
 """
 
 from fractions import Fraction

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .characters import pair_counts, shift_defect, tangent_table, weight_table
 from .errors import InternalInconsistency, NonGenericParameter
 from .eigenfunctions import (apply_cs_operator, check_nonresonant, cs_coefficients,
-                             cs_product_series, toda_coefficients)
+                             cs_product_coefficients, toda_tail_coefficients)
 from .hall import (QuiverRepClass, all_ones_unitriangular, check_product_identity,
                    conjugator_check, hall_count, indecomposable_matrix,
                    root_exponential_product, unipotent_product)
@@ -120,10 +120,9 @@ def verify_main(n: int, max_degree: int, trials: int, seed: int,
     def compute(pt: ParameterPoint) -> dict:
         # resonance first, then the fixed-point side: a non-generic point is
         # dropped before the eigenfunction product is computed
-        check_nonresonant(n, pt.a_over_x(), max_degree)
+        checked = check_nonresonant(n, pt.a_over_x(), max_degree)
         lhs = chern_series_coefficients(n, max_degree, pt)
-        product = cs_product_series(n, pt.a_over_x(), pt.m, max_degree)
-        rhs = [product.coefficient(g) for g in gammas]
+        rhs = cs_product_coefficients(n, pt.a_over_x(), pt.m, max_degree, checked)
         comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
         return {"comparisons": comparisons,
                 "all_equal": first_mismatch is None,
@@ -146,10 +145,9 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
 
     def compute(pt: ParameterPoint) -> dict:
         a_over_x = pt.a_over_x()
-        check_nonresonant(n, a_over_x, max_degree)
+        checked = check_nonresonant(n, a_over_x, max_degree)
         lhs = volume_coefficients(n, max_degree, pt)
-        toda = toda_coefficients(n, a_over_x, max_degree, x=pt.x)
-        rhs = [toda.coefficient(g) for g in gammas]
+        rhs = toda_tail_coefficients(n, a_over_x, max_degree, pt.x, checked)
         comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
         diagnostics = []
         # the error only shrinks monotonically once m dominates the spread of
@@ -157,7 +155,7 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
         spread = (1 + max(a_over_x) - min(a_over_x)) ** 2
         couplings = [m * spread for m in TODA_DIAGNOSTIC_COUPLINGS]
         # one CS tail per coupling serves every diagonal gamma (the ratios of
-        # toda_limit_ratios); its gaps are those toda_coefficients passed
+        # toda_limit_ratios); its gaps are a prefix of the ones checked above
         tails = [cs_coefficients(n, a_over_x, m, min(max_degree, 2))
                  for m in couplings]
         for gamma in diag_gammas:
@@ -165,7 +163,7 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
                       for t, m in zip(tails, couplings)]
             # the coupling 2/x^2 enters the gamma coefficient |gamma| times,
             # so the x = 1 target is the x-gauge one times x^(2|gamma|)
-            target = toda.coefficient(gamma) * pt.x ** (2 * total_degree(gamma))
+            target = rhs[gammas.index(gamma)] * pt.x ** (2 * total_degree(gamma))
             errors = [abs(r - target) for r in ratios]
             decreasing = all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
             diagnostics.append({

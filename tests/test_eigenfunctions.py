@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasiflags import eigenfunctions
-from quasiflags.eigenfunctions import (EigenSeries, apply_cs_operator,
+from quasiflags.eigenfunctions import (EigenSeries, apply_cs_operator, check_nonresonant,
                                        cs_coefficients, cs_product_series,
                                        toda_coefficients, toda_limit_ratios)
 from quasiflags.errors import ResonantParameter
@@ -304,8 +304,28 @@ def assert_same_outcome(reference, *computes):
         assert compute() == expected
 
 
+# base points where most gaps G are negative, so the recursion divides by
+# negative integers
+NEG3 = (Fraction(6), Fraction(1, 2), Fraction(-13, 2))
+NEG4 = (Fraction(9, 2), Fraction(-1, 3), Fraction(5, 6), Fraction(-5))
+
+
+@pytest.mark.parametrize("n, a, degree", [(3, NEG3, 5), (4, NEG4, 4)])
+def test_negative_gap_examples_are_generic_with_negative_gaps(n, a, degree):
+    gaps = check_nonresonant(n, a, degree)[3]
+    assert sum(g < 0 for g in gaps) > len(gaps) // 2
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(analytic_cases())
+# the coupling m (m + 1) vanishes at m = 0 and m = -1, and at m = -1 so does
+# every binomial of the Weyl fold
+@example((3, NEG3, Fraction(0), 5))
+@example((3, NEG3, Fraction(-1), 5))
+@example((3, NEG3, Fraction(5, 2), 5))
+@example((4, NEG4, Fraction(0), 4))
+@example((4, NEG4, Fraction(-1), 4))
+@example((4, NEG4, Fraction(-7, 3), 4))
 def test_lattice_walks_match_dict_reference(case):
     n, a, m, degree = case
     weyl = reference_weyl_series(n, m, degree)

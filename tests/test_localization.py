@@ -265,6 +265,25 @@ def test_row_transfer_falls_back_at_local_poles(max_degree, pt, chern):
     assert_row_transfer_matches_kernel(pt.n, max_degree, pt)
 
 
+def test_row_transfer_sums_past_a_vanishing_step_numerator():
+    """At integer m <= -2 the x-only key (0, 0, -m) has V + M = 0, so a step
+    factor's numerator vanishes.  Here the first source of degree (1, 2) in
+    the last layer comes through such a step, so that degree's running sum
+    is exactly 0 when its next, nonzero source arrives."""
+    n, max_degree, pt = 3, 3, _point((-4, 1, 3), -2)
+    gammas, steps, layers = _transfer_table(n, max_degree)
+    target = gammas.index((1, 2))
+    arriving = [steps[step] for _, step, t in layers[-1][1] if t == target]
+    tops = [_products(*step_counts(upper, upper, lower), pt, True)[0]
+            for upper, lower in arriving]
+    assert tops[0] == 0 and any(tops[1:])
+    upper, lower = arriving[0]
+    keys, mults = step_counts(upper, upper, lower)
+    assert mults[keys.index((0, 0, 2))] > 0
+    assert chern_series_coefficient(n, (1, 2), pt) != 0
+    assert_row_transfer_matches_kernel(n, max_degree, pt)
+
+
 @pytest.mark.parametrize("n, max_degree, pt", [
     (3, 2, _point((0, 0, 0), 1)),  # every a_j - a_j' vanishes
     # five degrees reached by a local pole come before the first

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import quasiflags.characters as characters
+import quasiflags.eigenfunctions as eigenfunctions
 import quasiflags.localization as localization
 import quasiflags.verify as verify
 from quasiflags.eigenfunctions import toda_coefficients, toda_limit_ratios
@@ -45,10 +46,50 @@ def test_nongeneric_point_skips_the_eigenfunction_product(monkeypatch):
     def forbidden(*args):
         raise AssertionError("eigenfunction product computed at a non-generic point")
 
-    monkeypatch.setattr(verify, "cs_product_series", forbidden)
+    monkeypatch.setattr(verify, "cs_product_coefficients", forbidden)
     pt = ParameterPoint((Fraction(0),) * 3, Fraction(1), Fraction(1))
     with pytest.raises(GenericityExhausted):
         verify_main(3, 2, trials=1, seed=0, explicit_point=pt)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_main(3, 6, trials=2, seed=52),
+    lambda: verify_toda(4, 6, trials=2, seed=12),
+])
+def test_resonance_is_checked_once_per_attempt(monkeypatch, run):
+    """Each attempt checks resonance through the run's degree once, and the
+    analytic side reuses that check.  (verify-toda's strong-coupling tails are
+    recursions of degree <= 2 with checks of their own.)  Both runs redraw
+    one point, so they make three attempts for two trials."""
+    degrees = []
+    original = eigenfunctions.check_nonresonant
+
+    def counted(n, a_over_x, degree):
+        degrees.append(degree)
+        return original(n, a_over_x, degree)
+
+    monkeypatch.setattr(eigenfunctions, "check_nonresonant", counted)
+    monkeypatch.setattr(verify, "check_nonresonant", counted)
+    report = run()
+    assert sorted(t["resamples"] for t in report["trials"]) == [0, 1]
+    assert degrees.count(report["parameters"]["max_degree"]) == 3
+
+
+@pytest.mark.parametrize("run, fixed_point_side", [
+    (verify_main, "chern_series_coefficients"),
+    (verify_toda, "volume_coefficients"),
+])
+def test_resonance_is_decided_before_the_fixed_point_side(monkeypatch, run, fixed_point_side):
+    """(lam, lam) = s at gamma = (2,) for a = (1, -1)."""
+    def forbidden(*args):
+        raise AssertionError("fixed-point side computed at a resonant point")
+
+    monkeypatch.setattr(verify, fixed_point_side, forbidden)
+    pt = ParameterPoint((Fraction(1), Fraction(-1)), Fraction(1), Fraction(1))
+    with pytest.raises(GenericityExhausted) as excinfo:
+        run(2, 3, trials=1, seed=0, explicit_point=pt)
+    assert str(excinfo.value) == ("explicit point is not generic: (lam, lam) = s at "
+                                  "gamma=(2,); highest weight is not generic")
 
 
 def test_verify_toda_passes():
