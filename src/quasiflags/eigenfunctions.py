@@ -102,10 +102,10 @@ def check_nonresonant(n, a_over_x, degree) -> tuple[WeightVec, RootLattice, int,
 
 def _eigen_recursion(checked, coupling, walk) -> list[Fraction]:
     """Shared driver on a check_nonresonant result: fill the coefficient list
-    in (total, lex) order by c = coupling L walk / G, one gcd per int pair,
-    where walk(lattice, cn, cd) yields, for i = 1, 2, ..., the right side of
-    the recursion at the i-th degree vector as an int pair, from the
-    lower-degree coefficients already in cn / cd."""
+    in (total, lex) order by c = coupling L walk / G on int pairs, each
+    reduced by one gcd, where walk(lattice, cn, cd) yields, for i = 1, 2, ...,
+    the right side at the i-th degree vector as an int pair from the
+    lower-degree cn / cd; return them as Fractions, which normalise again."""
     _, lattice, scale, gaps = checked
     top, bottom = coupling.numerator * scale, coupling.denominator
     cn, cd = [1] + [0] * (len(gaps) - 1), [1] * len(gaps)
@@ -116,9 +116,20 @@ def _eigen_recursion(checked, coupling, walk) -> list[Fraction]:
     return list(map(Fraction, cn, cd))
 
 
-def _eigen_series(n, checked, c) -> EigenSeries:
+def _first_neighbours(lattice: RootLattice, cn: list, cd: list):
+    """The Toda walk: c summed over first neighbours along simple roots."""
+    simple = lattice.prev[:len(lattice.vectors[0])]  # simple roots come first
+    for i in range(1, len(cn)):
+        num, den = 0, 1
+        for prev in simple:
+            if (p := prev[i]) >= 0:
+                num, den = num * cd[p] + cn[p] * den, den * cd[p]
+        yield num, den
+
+
+def _eigen_series(checked, c) -> EigenSeries:
     lam0, lattice = checked[:2]
-    tail = Series(n - 1, lattice.degree, dict(zip(lattice.vectors, c)))
+    tail = Series(len(lam0) - 1, lattice.degree, dict(zip(lattice.vectors, c)))
     return EigenSeries(lam0, tail, inner(lam0, lam0))
 
 
@@ -127,43 +138,33 @@ def cs_coefficients(n: int, a_over_x, m, degree: int) -> EigenSeries:
     degree `degree`.  Raises ResonantParameter on a non-generic base point."""
     m = Fraction(m)
     checked = check_nonresonant(n, a_over_x, degree)
-    return _eigen_series(n, checked, _eigen_recursion(checked, 2 * m * (m + 1), _chain_sums))
+    return _eigen_series(checked, _eigen_recursion(checked, 2 * m * (m + 1), _chain_sums))
 
 
-def toda_tail_coefficients(n: int, a_over_x, degree: int, x=Fraction(1),
-                           checked=None) -> list[Fraction]:
-    """Toda eigenfunction tail in degree_vectors order: only simple roots
-    contribute, with coupling 2/x^2 (2 in the default gauge x = 1).  `checked`
-    is the caller's check_nonresonant(n, a_over_x, degree), if it has one."""
+def toda_tail_coefficients(checked, x=Fraction(1)) -> list[Fraction]:
+    """Toda eigenfunction tail on a check_nonresonant result, in
+    degree_vectors order: only simple roots contribute, with coupling 2/x^2
+    (2 in the default gauge x = 1)."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
-
-    def first_neighbours(lattice, cn, cd):  # the n - 1 simple roots come first
-        for i in range(1, len(cn)):
-            num, den = 0, 1
-            for prev in lattice.prev[:n - 1]:
-                if (p := prev[i]) >= 0:
-                    num, den = num * cd[p] + cn[p] * den, den * cd[p]
-            yield num, den
-
-    return _eigen_recursion(checked or check_nonresonant(n, a_over_x, degree),
-                            2 / (x * x), first_neighbours)
+    return _eigen_recursion(checked, 2 / (x * x), _first_neighbours)
 
 
 def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeries:
-    """toda_tail_coefficients as an EigenSeries."""
+    """toda_tail_coefficients as an EigenSeries; x = 0 is rejected first."""
+    if Fraction(x) == 0:
+        raise ValueError("x must be nonzero")
     checked = check_nonresonant(n, a_over_x, degree)
-    return _eigen_series(n, checked, toda_tail_coefficients(n, a_over_x, degree, x, checked))
+    return _eigen_series(checked, toda_tail_coefficients(checked, x))
 
 
-def cs_product_coefficients(n: int, a_over_x, m, degree: int, checked=None) -> list[Fraction]:
-    """The eigenfunction side of the Chern-series identity in degree_vectors
-    order: the CS tail times the (m+1)-st inverse power of the Weyl-denominator
-    product over positive roots, folded into the tail in place
-    (series.weyl_fold).  `checked` as for toda_tail_coefficients."""
+def cs_product_coefficients(checked, m) -> list[Fraction]:
+    """The eigenfunction side of the Chern-series identity on a
+    check_nonresonant result, in degree_vectors order: the CS tail times the
+    (m+1)-st inverse power of the Weyl-denominator product over positive
+    roots, folded into the tail in place (series.weyl_fold)."""
     m = Fraction(m)
-    checked = checked or check_nonresonant(n, a_over_x, degree)
     c = _eigen_recursion(checked, 2 * m * (m + 1), _chain_sums)
     weyl_fold(checked[1], c, m)
     return c
@@ -171,8 +172,10 @@ def cs_product_coefficients(n: int, a_over_x, m, degree: int, checked=None) -> l
 
 def cs_product_series(n: int, a_over_x, m, degree: int) -> Series:
     """cs_product_coefficients as a Series."""
-    c = cs_product_coefficients(n, a_over_x, m, degree)
-    return Series(n - 1, degree, dict(zip(root_lattice(n, degree).vectors, c)))
+    m = Fraction(m)
+    checked = check_nonresonant(n, a_over_x, degree)
+    c = cs_product_coefficients(checked, m)
+    return Series(n - 1, degree, dict(zip(checked[1].vectors, c)))
 
 
 def apply_cs_operator(series: EigenSeries, m, degree: int) -> Series:

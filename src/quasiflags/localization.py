@@ -243,8 +243,8 @@ def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> l
         tops = [a // g for a, g in zip(nums, divisors)]
         bottoms = [b // g for b, g in zip(dens, divisors)]
     # a volume degree scales by (L/x)^(2|gamma|) = (p/q)^(2|gamma|)
-    ratio = pt.integer_scaling[1] / pt.x
-    p, q = (1, 1) if chern else (ratio.numerator, ratio.denominator)
+    ratio = Fraction(1) if chern else pt.integer_scaling[1] / pt.x
+    p, q = ratio.numerator, ratio.denominator
     kernel = chern_series_coefficient if chern else volume_coefficient
     return [Fraction(top * p ** (2 * sum(g)), bottom * q ** (2 * sum(g))) if bottom
             else kernel(n, g, pt) for g, top, bottom in zip(gammas, tops, bottoms)]

@@ -122,7 +122,7 @@ def verify_main(n: int, max_degree: int, trials: int, seed: int,
         # dropped before the eigenfunction product is computed
         checked = check_nonresonant(n, pt.a_over_x(), max_degree)
         lhs = chern_series_coefficients(n, max_degree, pt)
-        rhs = cs_product_coefficients(n, pt.a_over_x(), pt.m, max_degree, checked)
+        rhs = cs_product_coefficients(checked, pt.m)
         comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
         return {"comparisons": comparisons,
                 "all_equal": first_mismatch is None,
@@ -147,7 +147,7 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
         a_over_x = pt.a_over_x()
         checked = check_nonresonant(n, a_over_x, max_degree)
         lhs = volume_coefficients(n, max_degree, pt)
-        rhs = toda_tail_coefficients(n, a_over_x, max_degree, pt.x, checked)
+        rhs = toda_tail_coefficients(checked, pt.x)
         comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
         diagnostics = []
         # the error only shrinks monotonically once m dominates the spread of

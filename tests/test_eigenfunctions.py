@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from quasiflags import eigenfunctions
 from quasiflags.eigenfunctions import (EigenSeries, apply_cs_operator, check_nonresonant,
                                        cs_coefficients, cs_product_series,
-                                       toda_coefficients, toda_limit_ratios)
+                                       toda_coefficients, toda_limit_ratios,
+                                       toda_tail_coefficients)
 from quasiflags.errors import ResonantParameter
 from quasiflags.localization import ParameterPoint, volume_coefficient
 from quasiflags.roots import embed_degree, inner, kostant_count
@@ -155,6 +156,15 @@ def test_resonance_names_the_first_resonant_degree():
         with pytest.raises(ResonantParameter) as excinfo:
             compute()
         assert str(excinfo.value) == message
+
+
+def test_toda_rejects_x_zero_before_checking_resonance():
+    # a = (1, -1) resonates at gamma = (2,), so the order of the two checks shows
+    a = (Fraction(1), Fraction(-1))
+    with pytest.raises(ValueError, match="x must be nonzero"):
+        toda_coefficients(2, a, 2, x=0)
+    with pytest.raises(ValueError, match="x must be nonzero"):
+        toda_tail_coefficients(check_nonresonant(2, a, 1), x=0)
 
 
 def positive_roots(n):
