@@ -64,6 +64,16 @@ def test_exit_code_nongeneric(capsys):
     assert "genericity" in err
 
 
+def test_inspect_at_a_resonant_point_exits_2_with_one_line(capsys):
+    """(lam, lam) = s at gamma = (2,) for a = (1, -1)."""
+    code, out, err = run_cli(capsys, "inspect", "series", "--kind", "cs", "--n", "2",
+                             "--max-degree", "4", "--a", "1,-1", "--m", "1")
+    assert code == 2
+    assert out == ""
+    assert err == ("non-generic parameters: (lam, lam) = s at gamma=(2,); "
+                   "highest weight is not generic\n")
+
+
 def test_properties_exit_2_when_genericity_is_exhausted(capsys, monkeypatch):
     def never_generic(*args):
         raise NonGenericParameter("injected")

@@ -54,6 +54,9 @@ GOLDEN = [
      "6cfb6551cdd11b86d7af781d065956962a3838404f3b600c2a9262fdcfcf8288"),
     ("inspect series --n 4 --max-degree 5 --kind denominator --m=7/3",
      "3bc1dc356f2c48171bbc33d5806e2b46add1eca26f895beda3eb1642247f59e8"),
+    # the Toda tail alone, at x != 1
+    ("inspect series --n 3 --max-degree 3 --kind toda --a=5/3,1/2,-13/6 --x 2",
+     "7a1e5e651810e1add60d0fb9373023120b5e3d22a745436ffda9d8e73b1379fc"),
     ("inspect character --n 3 --tableau 1,0,1 --tableau2 1,1,0",
      "e922ba543705b3c41a62aa0f0385786cf5cde283169182477eeda3604b8de373"),
     ("inspect tangent-weights --n 3 --tableau 2,1,1 --a 5,1,-6",

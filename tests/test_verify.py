@@ -122,17 +122,26 @@ def _transposed_step_counts(original):
     return flipped
 
 
-def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch):
+@pytest.mark.parametrize("run, lhs, rhs", [
+    (verify_main, "-688/875", "-2096/2575"),
+    (verify_toda, "1/105", "-1/103"),
+], ids=["verify-main", "verify-toda"])
+def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch, run, lhs, rhs):
+    """Each side is rendered on its own once they differ: a row's strings
+    agree exactly when its values do."""
     original = characters.step_counts
     characters.clear_caches()
     monkeypatch.setattr(characters, "step_counts", _transposed_step_counts(original))
     try:
-        report = verify_main(2, 4, trials=1, seed=5)
+        report = run(2, 4, trials=1, seed=5)
         assert report["verdict"] == "fail"
         trial = report["trials"][0]
         assert trial["first_mismatch"] == "1"
         assert trial["comparisons"][0]["equal"]      # degree zero still agrees
         assert not trial["comparisons"][1]["equal"]  # lowest degree witnesses
+        assert (trial["comparisons"][1]["lhs"], trial["comparisons"][1]["rhs"]) == (lhs, rhs)
+        for c in trial["comparisons"]:
+            assert (c["lhs"] == c["rhs"]) == c["equal"]
     finally:
         monkeypatch.undo()
         characters.clear_caches()
