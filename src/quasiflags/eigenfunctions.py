@@ -100,12 +100,13 @@ def check_nonresonant(n, a_over_x, degree) -> tuple[WeightVec, RootLattice, int,
     return lam0, lattice, scale, gaps
 
 
-def _eigen_recursion(checked, coupling, walk) -> list[Fraction]:
+def _eigen_recursion(checked, coupling, walk) -> tuple[list[int], list[int]]:
     """Shared driver on a check_nonresonant result: fill the coefficient list
     in (total, lex) order by c = coupling L walk / G on int pairs, each
     reduced by one gcd, where walk(lattice, cn, cd) yields, for i = 1, 2, ...,
     the right side at the i-th degree vector as an int pair from the
-    lower-degree cn / cd; return them as Fractions, which normalise again."""
+    lower-degree cn / cd.  Returns the int lists (cn, cd); a denominator may
+    be negative, and the Fractions each caller builds normalise it."""
     _, lattice, scale, gaps = checked
     top, bottom = coupling.numerator * scale, coupling.denominator
     cn, cd = [1] + [0] * (len(gaps) - 1), [1] * len(gaps)
@@ -113,7 +114,7 @@ def _eigen_recursion(checked, coupling, walk) -> list[Fraction]:
         num, den = top * num, bottom * den * gaps[i]
         g = gcd(num, den)
         cn[i], cd[i] = num // g, den // g
-    return list(map(Fraction, cn, cd))
+    return cn, cd
 
 
 def _first_neighbours(lattice: RootLattice, cn: list, cd: list):
@@ -138,7 +139,8 @@ def cs_coefficients(n: int, a_over_x, m, degree: int) -> EigenSeries:
     degree `degree`.  Raises ResonantParameter on a non-generic base point."""
     m = Fraction(m)
     checked = check_nonresonant(n, a_over_x, degree)
-    return _eigen_series(checked, _eigen_recursion(checked, 2 * m * (m + 1), _chain_sums))
+    c = _eigen_recursion(checked, 2 * m * (m + 1), _chain_sums)
+    return _eigen_series(checked, map(Fraction, *c))
 
 
 def toda_tail_coefficients(checked, x=Fraction(1)) -> list[Fraction]:
@@ -148,7 +150,7 @@ def toda_tail_coefficients(checked, x=Fraction(1)) -> list[Fraction]:
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
-    return _eigen_recursion(checked, 2 / (x * x), _first_neighbours)
+    return list(map(Fraction, *_eigen_recursion(checked, 2 / (x * x), _first_neighbours)))
 
 
 def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeries:
@@ -163,11 +165,9 @@ def cs_product_coefficients(checked, m) -> list[Fraction]:
     """The eigenfunction side of the Chern-series identity on a
     check_nonresonant result, in degree_vectors order: the CS tail times the
     (m+1)-st inverse power of the Weyl-denominator product over positive
-    roots, folded into the tail in place (series.weyl_fold)."""
+    roots, folded into the recursion's int lists (series.weyl_fold)."""
     m = Fraction(m)
-    c = _eigen_recursion(checked, 2 * m * (m + 1), _chain_sums)
-    weyl_fold(checked[1], c, m)
-    return c
+    return weyl_fold(checked[1], *_eigen_recursion(checked, 2 * m * (m + 1), _chain_sums), m)
 
 
 def cs_product_series(n: int, a_over_x, m, degree: int) -> Series:

@@ -16,8 +16,6 @@ from itertools import combinations
 from math import lcm
 from typing import Iterator, NamedTuple
 
-from .scalars import generalized_binomial
-
 DegreeVector = tuple[int, ...]
 
 
@@ -162,22 +160,25 @@ def root_lattice(n: int, degree: int) -> RootLattice:
     return RootLattice(degree, vectors, embeddings, supports, tuple(prev))
 
 
-def weyl_fold(lattice: RootLattice, h: list, m) -> None:
-    """Multiply the coefficient list h (indexed like lattice.vectors) in place
-    by prod_{alpha > 0} (1 - e^{-alpha})^{-m-1}, one root at a time, on
-    integers: the binomials b_k, cut at the first zero (a polynomial for
-    integer m <= -1, and 1 at m = -1), are w_k / scale and h is H / delta.
-    Each root's descending sweep H[i] = scale H[i] + sum_k w_k H[prev^k(i)]
-    reads the lower entries before they are updated; then H[0] and delta
-    take the factor scale."""
-    b = [generalized_binomial(m, k) for k in range(1, lattice.degree + 1)]
-    b = b[:b.index(0)] if 0 in b else b
-    if not b:
-        return
+def weyl_fold(lattice: RootLattice, num: list[int], den: list[int], m) -> list[Fraction]:
+    """The coefficient list num / den (int lists indexed like lattice.vectors)
+    times prod_{alpha > 0} (1 - e^{-alpha})^{-m-1}, as Fractions, folded one
+    root at a time on integers.  The binomials b_k = prod_{t <= k} (m + t) / t
+    come from one running product cut at its first zero (a polynomial for
+    integer m <= -1; none at m = -1) and are w_k / scale; the list is
+    H / delta, delta = lcm(den).  Each root's descending sweep
+    H[i] = scale H[i] + sum_k w_k H[prev^k(i)] reads the lower entries before
+    they are updated; then H[0] and delta take the factor scale."""
+    b, term = [], Fraction(1)
+    for k in range(1, lattice.degree + 1):
+        term *= Fraction(m + k, k)
+        if not term:
+            break
+        b.append(term)
+    delta = lcm(*den)
+    H = [x * (delta // d) for x, d in zip(num, den)]
     scale = lcm(*(x.denominator for x in b))
     w = [x.numerator * (scale // x.denominator) for x in b]
-    delta = lcm(*(x.denominator for x in h))
-    H = [x.numerator * (delta // x.denominator) for x in h]
     for prev in lattice.prev:
         for i in range(len(H) - 1, 0, -1):
             acc, p = scale * H[i], prev[i]
@@ -189,7 +190,7 @@ def weyl_fold(lattice: RootLattice, h: list, m) -> None:
             H[i] = acc
         H[0] *= scale
         delta *= scale
-    h[:] = [Fraction(x, delta) for x in H]
+    return [Fraction(x, delta) for x in H]
 
 
 def denominator_power_series(n: int, exponent, degree: int) -> Series:
@@ -197,6 +198,6 @@ def denominator_power_series(n: int, exponent, degree: int) -> Series:
     truncated at total degree `degree`: the unit series folded root by root
     (see weyl_fold).  Exponent 0 gives the unit series."""
     lattice = root_lattice(n, degree)
-    h = [Fraction(1)] + [Fraction(0)] * (len(lattice.vectors) - 1)
-    weyl_fold(lattice, h, Fraction(exponent) - 1)
+    size = len(lattice.vectors)
+    h = weyl_fold(lattice, [1] + [0] * (size - 1), [1] * size, Fraction(exponent) - 1)
     return Series(n - 1, degree, dict(zip(lattice.vectors, h)))

@@ -1,11 +1,12 @@
 """Identity verification runs.
 
 Each run samples exact rational parameter points from a seeded splitmix64
-stream, evaluates both sides of an identity coefficient by coefficient, and
-assembles a machine-readable report.  Reports contain only mathematical data
-(no timestamps, no worker counts), are assembled in a fixed order, and render
-all scalars as exact rational strings, so a run is replayable and
-byte-reproducible from its seed and flags alone.
+stream, evaluates both sides of an identity coefficient by coefficient (one
+protocol, _run_trials, serves verify-main and verify-toda, which adds only
+its strong-coupling diagnostics), and assembles a machine-readable report.
+Reports contain only mathematical data (no timestamps, no worker counts), are
+assembled in a fixed order, and render all scalars as exact rational strings,
+so a run is replayable and byte-reproducible from its seed and flags alone.
 
 Both sides of an identity exist only at generic points: every sampled point,
 in the verify runs and the property records alike, comes from _first_generic,
@@ -30,7 +31,7 @@ from .roots import (embed_degree, kostant_count, pairing,
 from .sampling import (SplitMix64, sample_coupling, sample_distinct_nonzero,
                        sample_zero_sum_integers)
 from .scalars import format_rational
-from .series import degree_vectors, total_degree
+from .series import degree_vectors, root_lattice, total_degree
 from .tableaux import Tableau, cartan_eigenvalue, enumerate_fixed_points
 
 RETRY_BUDGET = 64
@@ -73,10 +74,38 @@ def _first_generic(rng, n, coupling, compute, explicit_point=None):
                     f"no generic point found in {RETRY_BUDGET} resamples") from exc
 
 
-def _run_trials(command, n, max_degree, trials, seed, explicit_point, compute,
-                coupling):
+def _run_trials(command, n, max_degree, trials, seed, explicit_point, coupling,
+                fixed_point_side, analytic_side, diagnostics=None):
     """One _first_generic point per trial (the explicit point makes a single
-    trial); returns the report over the per-trial dicts of compute."""
+    trial); returns the report.  An attempt checks resonance through
+    max_degree, then compares fixed_point_side(n, max_degree, pt) with
+    analytic_side(checked, pt) row by row, then, if given, adds
+    diagnostics(n, max_degree, pt, rhs, labels) as the limit diagnostics.  The
+    gamma labels are rendered once per run, and an equal pair once."""
+    labels = [format_gamma(g) for g in degree_vectors(n - 1, max_degree)]
+
+    def compute(pt: ParameterPoint) -> dict:
+        # resonance first, then the fixed-point side: a non-generic point is
+        # dropped before the analytic side is computed
+        checked = check_nonresonant(n, pt.a_over_x(), max_degree)
+        lhs = fixed_point_side(n, max_degree, pt)
+        rhs = analytic_side(checked, pt)
+        comparisons, first_mismatch = [], None
+        for label, left, right in zip(labels, lhs, rhs):
+            text = format_rational(left)
+            row = {"gamma": label, "lhs": text, "rhs": text, "equal": left == right}
+            if not row["equal"]:
+                row["rhs"] = format_rational(right)
+                first_mismatch = first_mismatch or label
+            comparisons.append(row)
+        result = {"comparisons": comparisons, "all_equal": first_mismatch is None,
+                  "first_mismatch": first_mismatch}
+        if diagnostics is not None:
+            found = diagnostics(n, max_degree, pt, rhs, labels)
+            result["limit_diagnostics"] = found
+            result["all_equal"] &= all(d["errors_strictly_decreasing"] for d in found)
+        return result
+
     rng = SplitMix64(seed)
     out = []
     for trial in range(trials if explicit_point is None else 1):
@@ -94,45 +123,48 @@ def _run_trials(command, n, max_degree, trials, seed, explicit_point, compute,
     }
 
 
-def _compare_table(gammas, lhs_values, rhs_values):
-    comparisons = []
-    first_mismatch = None
-    for gamma, lhs, rhs in zip(gammas, lhs_values, rhs_values):
-        equal = lhs == rhs
-        if not equal and first_mismatch is None:
-            first_mismatch = format_gamma(gamma)
-        comparisons.append({
-            "gamma": format_gamma(gamma),
-            "lhs": format_rational(lhs),
-            "rhs": format_rational(rhs),
-            "equal": equal,
-        })
-    return comparisons, first_mismatch
-
-
 def verify_main(n: int, max_degree: int, trials: int, seed: int,
                 explicit_point: ParameterPoint | None = None, jobs: int = 1) -> dict:
     """Compare the localization series against the eigenfunction product,
     coefficient by coefficient, at sampled (or given) parameter points.
     `jobs` is accepted and ignored, kept for compatibility."""
-    gammas = list(degree_vectors(n - 1, max_degree))
-
-    def compute(pt: ParameterPoint) -> dict:
-        # resonance first, then the fixed-point side: a non-generic point is
-        # dropped before the eigenfunction product is computed
-        checked = check_nonresonant(n, pt.a_over_x(), max_degree)
-        lhs = chern_series_coefficients(n, max_degree, pt)
-        rhs = cs_product_coefficients(checked, pt.m)
-        comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
-        return {"comparisons": comparisons,
-                "all_equal": first_mismatch is None,
-                "first_mismatch": first_mismatch}
-
     return _run_trials("verify-main", n, max_degree, trials, seed, explicit_point,
-                       compute, sample_coupling)
+                       sample_coupling, chern_series_coefficients,
+                       lambda checked, pt: cs_product_coefficients(checked, pt.m))
 
 
 TODA_DIAGNOSTIC_COUPLINGS = (100, 10_000, 1_000_000)
+
+
+def _toda_diagnostics(n, max_degree, pt, rhs, labels) -> list[dict]:
+    """Strong-coupling diagnostics at the degrees 1..min(max_degree, 2),
+    which come right after degree 0 in (total, lex) order, so their targets
+    and labels are read by position."""
+    a_over_x = pt.a_over_x()
+    # the error only shrinks monotonically once m dominates the spread of
+    # a/x, so the couplings are scaled by (1 + max a/x - min a/x)^2
+    spread = (1 + max(a_over_x) - min(a_over_x)) ** 2
+    couplings = [m * spread for m in TODA_DIAGNOSTIC_COUPLINGS]
+    rendered = [format_rational(m) for m in couplings]
+    # one CS tail per coupling serves every diagonal gamma (the ratios of
+    # toda_limit_ratios); its gaps are a prefix of the ones checked above
+    tails = [cs_coefficients(n, a_over_x, m, min(max_degree, 2)) for m in couplings]
+    diagnostics = []
+    for i, gamma in enumerate(root_lattice(n, min(max_degree, 2)).vectors[1:], 1):
+        size = total_degree(gamma)
+        ratios = [t.coefficient(gamma) / m ** (2 * size) for t, m in zip(tails, couplings)]
+        # the coupling 2/x^2 enters the gamma coefficient |gamma| times,
+        # so the x = 1 target is the x-gauge one times x^(2|gamma|)
+        target = rhs[i] * pt.x ** (2 * size)
+        errors = [abs(r - target) for r in ratios]
+        diagnostics.append({
+            "gamma": labels[i],
+            "couplings": rendered,
+            "ratios": [format_rational(r) for r in ratios],
+            "target": format_rational(target),
+            "errors_strictly_decreasing": all(e1 > e2 for e1, e2 in zip(errors, errors[1:])),
+        })
+    return diagnostics
 
 
 def verify_toda(n: int, max_degree: int, trials: int, seed: int,
@@ -140,46 +172,10 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
     """Compare equivariant volumes against the Toda eigenfunction tail, and
     check that the rescaled strong-coupling coefficients converge to it.
     `jobs` is accepted and ignored, kept for compatibility."""
-    gammas = list(degree_vectors(n - 1, max_degree))
-    diag_gammas = [g for g in gammas if 1 <= total_degree(g) <= min(max_degree, 2)]
-
-    def compute(pt: ParameterPoint) -> dict:
-        a_over_x = pt.a_over_x()
-        checked = check_nonresonant(n, a_over_x, max_degree)
-        lhs = volume_coefficients(n, max_degree, pt)
-        rhs = toda_tail_coefficients(checked, pt.x)
-        comparisons, first_mismatch = _compare_table(gammas, lhs, rhs)
-        diagnostics = []
-        # the error only shrinks monotonically once m dominates the spread of
-        # a/x, so the couplings are scaled by (1 + max a/x - min a/x)^2
-        spread = (1 + max(a_over_x) - min(a_over_x)) ** 2
-        couplings = [m * spread for m in TODA_DIAGNOSTIC_COUPLINGS]
-        # one CS tail per coupling serves every diagonal gamma (the ratios of
-        # toda_limit_ratios); its gaps are a prefix of the ones checked above
-        tails = [cs_coefficients(n, a_over_x, m, min(max_degree, 2))
-                 for m in couplings]
-        for gamma in diag_gammas:
-            ratios = [t.coefficient(gamma) / m ** (2 * total_degree(gamma))
-                      for t, m in zip(tails, couplings)]
-            # the coupling 2/x^2 enters the gamma coefficient |gamma| times,
-            # so the x = 1 target is the x-gauge one times x^(2|gamma|)
-            target = rhs[gammas.index(gamma)] * pt.x ** (2 * total_degree(gamma))
-            errors = [abs(r - target) for r in ratios]
-            decreasing = all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
-            diagnostics.append({
-                "gamma": format_gamma(gamma),
-                "couplings": [format_rational(m) for m in couplings],
-                "ratios": [format_rational(r) for r in ratios],
-                "target": format_rational(target),
-                "errors_strictly_decreasing": decreasing,
-            })
-        ok = first_mismatch is None and all(d["errors_strictly_decreasing"]
-                                            for d in diagnostics)
-        return {"comparisons": comparisons, "limit_diagnostics": diagnostics,
-                "all_equal": ok, "first_mismatch": first_mismatch}
-
     return _run_trials("verify-toda", n, max_degree, trials, seed, explicit_point,
-                       compute, lambda rng: 0)
+                       lambda rng: 0, volume_coefficients,
+                       lambda checked, pt: toda_tail_coefficients(checked, pt.x),
+                       _toda_diagnostics)
 
 
 # -- property suites ----------------------------------------------------------
