@@ -112,7 +112,7 @@ def _key(a: int, b: int, k: int) -> tuple[int, int, int]:
     return (a, b, k)
 
 
-@lru_cache(maxsize=4096)  # 1,716 keys at n=3 D=24, 1,156 in the character record
+@lru_cache(maxsize=4096)  # 1,156 keys in the character record at n=4 D=5
 def step_counts(sources: tuple[int, ...], upper: tuple[int, ...], lower: tuple[int, ...]
                 ) -> WeightTable:
     """Count map of flag step i, from sources = d'_i, upper = d_i and lower =
@@ -211,9 +211,3 @@ def shift_defect(d: Tableau, d_prime: Tableau, m: int, n: int) -> Character:
     """
     return (pair_character(d_prime, d, n).shift_x(m)
             - pair_character(d_prime, d.shift(m), n))
-
-
-def clear_caches():
-    """Reset memoized step blocks and tangent data (used by fault-injection tests)."""
-    step_counts.cache_clear()
-    tangent_table.cache_clear()

@@ -82,24 +82,25 @@ def _add_common(sub, verify=True):
                      help="explicit zero-sum torus point, comma-separated rationals")
     sub.add_argument("--m", type=_parse_rational_arg, default=None,
                      help="explicit coupling (rational p/q)")
-    sub.add_argument("--x", type=_parse_rational_arg, default=Fraction(1),
-                     help="loop-weight gauge (rational, default 1)")
+    sub.add_argument("--x", type=_parse_rational_arg, default=None,
+                     help="loop-weight gauge with --a (rational, default 1)")
 
 
 def _point(args) -> ParameterPoint:
-    """The point given by --a, --x and --m (m = 0 when absent), or ValueError."""
+    """The point given by --a, --x and --m (x = 1, m = 0 when absent), or ValueError."""
     a = tuple(parse_rational(part) for part in args.a.split(","))
     if len(a) != args.n:
         raise ValueError(f"--a must have {args.n} entries")
     if sum(a) != 0:
         raise ValueError("--a entries must sum to zero")
-    return ParameterPoint(a, args.x, args.m if args.m is not None else Fraction(0))
+    return ParameterPoint(a, Fraction(1) if args.x is None else args.x, args.m or 0)
 
 
 def _explicit_point(args, parser, need_m: bool) -> ParameterPoint | None:
     if args.a is None:
-        if args.m is not None:
-            parser.error("--m requires --a (otherwise points are sampled)")
+        for flag, value in (("--m", args.m), ("--x", args.x)):
+            if value is not None:
+                parser.error(f"{flag} requires --a (otherwise points are sampled)")
         return None
     if need_m and args.m is None:
         parser.error("verify-main with an explicit point also needs --m")

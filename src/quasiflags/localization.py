@@ -168,16 +168,16 @@ def _transfer_table(n: int, max_degree: int):
     i).  Every state completes (by zero rows), so no state is dead, and the
     paths are the fixed points.
 
-    Returns (gammas, steps, layers): the degrees in degree_vectors order,
-    the distinct flag steps (upper, lower), and per row after row 0 (whose
-    states are the D + 1 rows (e,)) its state count and its transitions
-    (source, step, target).  The last layer steps onto the zero row, and
-    its targets are the degree indices.
+    Returns (gammas, tables, layers): the degrees in degree_vectors order,
+    the WeightTable (characters.step_counts) of each distinct flag step
+    (upper, lower), and per row after row 0 (states: the D + 1 rows (e,))
+    its state count and transitions (source, step, target).  The last layer
+    steps onto the zero row, and its targets are the degree indices.
 
-    Each step's count map (characters.step_counts) is checked once, here:
-    a zero weight, or a total multiplicity other than U + (i+1)(U - L), U
-    and L the row sums and i the step index, raises InternalInconsistency.
-    Summed over the steps of a fixed point d that total is 2|d|."""
+    Each table is checked once, here: a zero weight, or a total
+    multiplicity other than U + (i+1)(U - L), U and L the row sums and i
+    the step index, raises InternalInconsistency.  Summed over the steps of
+    a fixed point d that total is 2|d|."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     steps: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
@@ -202,23 +202,23 @@ def _transfer_table(n: int, max_degree: int):
     layers.append((len(gammas), tuple(
         (source, steps.setdefault((upper, zero), len(steps)), position[sums])
         for source, (sums, upper) in enumerate(states))))
-    for upper, lower in steps:
-        keys, mults = characters.step_counts(upper, upper, lower)
+    tables = tuple(characters.step_counts(upper, upper, lower) for upper, lower in steps)
+    for (upper, lower), (keys, mults) in zip(steps, tables):
         size, expected = sum(mults), sum(upper) + len(upper) * (sum(upper) - sum(lower))
         if (0, 0, 0) in keys:
             raise InternalInconsistency(f"zero weight in flag step {upper} -> {lower}")
         if size != expected:
             raise InternalInconsistency(
                 f"flag step {upper} -> {lower} has multiplicity {size}, expected {expected}")
-    return gammas, tuple(steps), tuple(layers)
+    return gammas, tables, tuple(layers)
 
 
 def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> list[Fraction]:
     """Every Chern (chern) or volume coefficient with |gamma| <= D, in
     degree_vectors order, as path sums over _transfer_table of step
-    factors: _products of each step's count map at the point, an int pair
-    (top, bottom).  A state sums its sources on unreduced int pairs, with one
-    gcd when its layer is done; each degree then makes one Fraction.
+    factors: _products of each table the graph holds, at the point, an int
+    pair (top, bottom).  A state sums its sources on unreduced int pairs,
+    with one gcd when its layer is done; each degree then makes one Fraction.
 
     A step factor whose denominator vanishes poisons every degree reached
     through it (its bottom, a product, stays 0), and each poisoned degree
@@ -228,9 +228,8 @@ def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> l
     denominator vanishes no tangent weight does, and a vanishing step
     numerator is a genuine zero.  Every non-generic degree is thus poisoned,
     and the kernel raises there with its own NonGenericParameter."""
-    gammas, steps, layers = _transfer_table(n, max_degree)
-    factors = [_products(*characters.step_counts(upper, upper, lower), pt, chern)
-               for upper, lower in steps]
+    gammas, tables, layers = _transfer_table(n, max_degree)
+    factors = [_products(*table, pt, chern) for table in tables]
     tops = bottoms = [1] * (max_degree + 1)
     for count, moves in layers:
         nums, dens = [0] * count, [1] * count
@@ -261,3 +260,10 @@ def volume_coefficients(n: int, max_degree: int, pt: ParameterPoint) -> list[Fra
     in that order, by one row-transfer pass: the step factors have an empty
     numerator, and each degree is scaled by (L/x)^(2|gamma|)."""
     return _row_transfer(n, max_degree, pt, chern=False)
+
+
+def clear_caches():
+    """Reset the step and tangent tables and the graphs that hold them, together."""
+    characters.step_counts.cache_clear()
+    tangent_table.cache_clear()
+    _transfer_table.cache_clear()

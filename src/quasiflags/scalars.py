@@ -27,10 +27,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render an exact scalar as "p" or "p/q" with q > 0."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def generalized_binomial(m, k: int) -> Fraction:

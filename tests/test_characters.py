@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quasiflags.characters as characters
+import quasiflags.localization as localization
 from quasiflags.characters import (Character, TorusWeight, geom_block,
                                    pair_character, pair_counts, pair_weight,
                                    shift_defect, tangent_table, tangent_weights,
@@ -267,11 +268,11 @@ def test_weight_table_rejects_negative_multiplicity():
     {(0, 0, 1): 1},                 # one weight where two are due
 ])
 def test_tangent_table_rejects_corrupt_counts(monkeypatch, counts):
-    characters.clear_caches()
+    localization.clear_caches()
     monkeypatch.setattr(characters, "pair_counts", lambda d, d_prime, n: dict(counts))
     try:
         with pytest.raises(InternalInconsistency):
             tangent_table(Tableau([(1,)]), 2)
     finally:
         monkeypatch.undo()
-        characters.clear_caches()
+        localization.clear_caches()

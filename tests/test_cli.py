@@ -153,6 +153,9 @@ def test_inspect_series_denominator(capsys):
     ["verify-main", "--n", "1"],
     ["verify-main", "--max-degree", "-1"],
     ["verify-toda", "--trials", "0"],
+    # --x, like --m, sets part of an explicit point and needs --a
+    ["verify-toda", "--x", "2"],
+    ["verify-main", "--x", "0"],
     ["properties", "--n", "1"],
     ["properties", "--a", "garbage"],
     ["properties", "--m", "1"],

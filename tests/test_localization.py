@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasiflags import characters
-from quasiflags.characters import (TorusWeight, pair_character, step_counts,
-                                   tangent_weights)
+from quasiflags import characters, localization
+from quasiflags.characters import TorusWeight, pair_character, tangent_weights
 from quasiflags.errors import InternalInconsistency, NonGenericParameter
 from quasiflags.localization import (ParameterPoint, _products, _transfer_table,
                                      chern_matrix_element, chern_ratio,
@@ -259,9 +258,8 @@ LOCAL_POLES = [
 
 @pytest.mark.parametrize("max_degree, pt, chern", LOCAL_POLES)
 def test_row_transfer_falls_back_at_local_poles(max_degree, pt, chern):
-    steps = _transfer_table(pt.n, max_degree)[1]
-    assert any(_products(*step_counts(upper, upper, lower), pt, chern)[1] == 0
-               for upper, lower in steps)
+    tables = _transfer_table(pt.n, max_degree)[1]
+    assert any(_products(*table, pt, chern)[1] == 0 for table in tables)
     assert_row_transfer_matches_kernel(pt.n, max_degree, pt)
 
 
@@ -271,14 +269,12 @@ def test_row_transfer_sums_past_a_vanishing_step_numerator():
     the last layer comes through such a step, so that degree's running sum
     is exactly 0 when its next, nonzero source arrives."""
     n, max_degree, pt = 3, 3, _point((-4, 1, 3), -2)
-    gammas, steps, layers = _transfer_table(n, max_degree)
+    gammas, tables, layers = _transfer_table(n, max_degree)
     target = gammas.index((1, 2))
-    arriving = [steps[step] for _, step, t in layers[-1][1] if t == target]
-    tops = [_products(*step_counts(upper, upper, lower), pt, True)[0]
-            for upper, lower in arriving]
+    arriving = [tables[step] for _, step, t in layers[-1][1] if t == target]
+    tops = [_products(*table, pt, True)[0] for table in arriving]
     assert tops[0] == 0 and any(tops[1:])
-    upper, lower = arriving[0]
-    keys, mults = step_counts(upper, upper, lower)
+    keys, mults = arriving[0]
     assert mults[keys.index((0, 0, 2))] > 0
     assert chern_series_coefficient(n, (1, 2), pt) != 0
     assert_row_transfer_matches_kernel(n, max_degree, pt)
@@ -307,13 +303,27 @@ def test_transfer_table_checks_every_flag_step(monkeypatch, fault, message):
     """A step count map with a zero weight, or with a key missing, is caught
     when the row-transfer graph is built."""
     original = characters.step_counts
-    characters.clear_caches()
-    _transfer_table.cache_clear()
+    localization.clear_caches()
     monkeypatch.setattr(characters, "step_counts", lambda *rows: fault(*original(*rows)))
     try:
         with pytest.raises(InternalInconsistency, match=message):
             chern_series_coefficients(3, 2, _point((7, 2, -9), Fraction(3, 2)))
     finally:
         monkeypatch.undo()
-        characters.clear_caches()
-        _transfer_table.cache_clear()
+        localization.clear_caches()
+
+
+def test_row_transfer_fetches_no_step_table_once_the_graph_is_built(monkeypatch):
+    """The graph holds the step tables it checked: a further Chern or volume
+    pass over it asks characters.step_counts for nothing."""
+    n, max_degree, pt = 3, 4, _point((7, 2, -9), Fraction(3, 2))
+    expected = chern_series_coefficients(n, max_degree, pt), volume_coefficients(n, max_degree, pt)
+    original, calls = characters.step_counts, []
+
+    def counted(*rows):
+        calls.append(rows)
+        return original(*rows)
+
+    monkeypatch.setattr(characters, "step_counts", counted)
+    again = chern_series_coefficients(n, max_degree, pt), volume_coefficients(n, max_degree, pt)
+    assert calls == [] and again == expected

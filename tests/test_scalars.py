@@ -32,6 +32,8 @@ def test_format_roundtrip():
         assert parse_rational(format_rational(value)) == value
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(Fraction(-3, 6)) == "-1/2"
+    # other exact inputs are converted first
+    assert [format_rational(v) for v in (7, -3, 0.5)] == ["7", "-3", "1/2"]
 
 
 def test_binomial_integer_cases():

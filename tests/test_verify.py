@@ -128,9 +128,11 @@ def _transposed_step_counts(original):
 ], ids=["verify-main", "verify-toda"])
 def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch, run, lhs, rhs):
     """Each side is rendered on its own once they differ: a row's strings
-    agree exactly when its values do."""
+    agree exactly when its values do.  The fault-free run first caches the
+    n=2, D=4 graph, so the fault shows only if the reset drops that graph."""
+    assert run(2, 4, trials=1, seed=5)["verdict"] == "pass"
     original = characters.step_counts
-    characters.clear_caches()
+    localization.clear_caches()
     monkeypatch.setattr(characters, "step_counts", _transposed_step_counts(original))
     try:
         report = run(2, 4, trials=1, seed=5)
@@ -144,7 +146,7 @@ def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch, run, lhs, rhs):
             assert (c["lhs"] == c["rhs"]) == c["equal"]
     finally:
         monkeypatch.undo()
-        characters.clear_caches()
+        localization.clear_caches()
 
 
 @pytest.mark.parametrize("record, args", [
