@@ -150,6 +150,11 @@ def test_inspect_series_denominator(capsys):
     ["inspect", "fixed-points", "--n", "3", "--gamma", "1"],
     ["inspect", "character", "--n", "2", "--tableau", "1", "--tableau2", "-1"],
     ["inspect", "series", "--n", "2", "--a", "1,-1", "--x", "0"],
+    # each inspect subject without the flag it needs
+    ["inspect", "fixed-points", "--n", "3"],
+    ["inspect", "tangent-weights", "--n", "2"],
+    ["inspect", "character", "--n", "2", "--tableau", "1"],
+    ["inspect", "series", "--n", "2", "--kind", "cs"],
     ["verify-main", "--n", "1"],
     ["verify-main", "--max-degree", "-1"],
     ["verify-toda", "--trials", "0"],

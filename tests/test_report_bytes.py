@@ -61,6 +61,8 @@ GOLDEN = [
      "e922ba543705b3c41a62aa0f0385786cf5cde283169182477eeda3604b8de373"),
     ("inspect tangent-weights --n 3 --tableau 2,1,1 --a 5,1,-6",
      "c8a09d2e28d8d561499244c9e5a7abc7ff232b1e06213c1d5148bb4d12eda04d"),
+    ("inspect fixed-points --n 4 --gamma 2,1,1",
+     "fcd6563d41b8f691646a45ed9b841dd4e84c4c36c824fc502f38bc1915607f74"),
     # explicit points with x != 1: the strong-coupling targets are rescaled
     ("verify-toda --n 3 --max-degree 6 --trials 1 --a 5/3,1/2,-13/6 --x 2",
      "5d1abad2acb01a927b39b3e613acd0661207e9e434f80bfed3c26a0891c864aa"),
