@@ -11,11 +11,13 @@ Subcommands:
 
 One machine-readable JSON document per run goes to standard output;
 diagnostics go to standard error.  Exit codes: 0 pass, 1 identity or property
-failure, 2 genericity exhausted, 3 usage error.
+failure, 2 genericity exhausted, 3 usage error, 4 report not written
+(standard output closed, a closed pipe or a full device).
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -34,6 +36,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_NONGENERIC = 2
 EXIT_USAGE = 3
+EXIT_OUTPUT = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,14 +119,10 @@ def build_parser() -> _Parser:
                                  "eigenfunction identities on quasiflag spaces.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    main_cmd = commands.add_parser("verify-main", parents=[], help="Chern series identity")
-    _add_common(main_cmd)
-
-    toda_cmd = commands.add_parser("verify-toda", help="volume / Toda identity")
-    _add_common(toda_cmd)
-
-    prop_cmd = commands.add_parser("properties", help="cross-module invariants")
-    _add_common(prop_cmd, verify=False)
+    for name, help_text in (("verify-main", "Chern series identity"),
+                            ("verify-toda", "volume / Toda identity"),
+                            ("properties", "cross-module invariants")):
+        _add_common(commands.add_parser(name, help=help_text), verify=name != "properties")
 
     ins = commands.add_parser("inspect", help="dump exact data, no verdict")
     ins.add_argument("subject", choices=["fixed-points", "tangent-weights",
@@ -147,22 +146,23 @@ def build_parser() -> _Parser:
 def _emit(document: dict) -> None:
     """Write json.dumps(document, indent=2, sort_keys=True) + newline in pieces
     of 4096 tokens: never the whole report at once, nor one write per token."""
+    if sys.stdout is None:  # descriptor 1 was closed before start-up
+        raise OSError("standard output is closed")
     tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
     while piece := "".join(islice(tokens, 4096)):
         sys.stdout.write(piece)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # a failed write raises OSError here, not at exit
 
 
-def _inspect(args, parser) -> int:
+def _inspect(args, parser) -> dict:
     n = args.n
     if args.subject == "fixed-points":
         if args.gamma is None:
             parser.error("inspect fixed-points needs --gamma")
         points = enumerate_fixed_points(n, args.gamma)
-        _emit({"subject": "fixed-points", "n": n, "gamma": format_gamma(args.gamma),
-               "count": len(points),
-               "tableaux": [p.as_flat_list() for p in points]})
-        return EXIT_PASS
+        return {"subject": "fixed-points", "n": n, "gamma": format_gamma(args.gamma),
+                "count": len(points), "tableaux": [p.as_flat_list() for p in points]}
 
     if args.subject == "tangent-weights":
         if args.tableau is None:
@@ -175,8 +175,7 @@ def _inspect(args, parser) -> int:
         if args.a is not None:
             pt = _point(args)
             record["values"] = [format_rational(evaluate_weight(w, pt)) for w in weights]
-        _emit(record)
-        return EXIT_PASS
+        return record
 
     if args.subject == "character":
         if args.tableau is None or args.tableau2 is None:
@@ -184,12 +183,11 @@ def _inspect(args, parser) -> int:
         d = Tableau.from_flat_list(args.tableau, n)
         dp = Tableau.from_flat_list(args.tableau2, n)
         char = pair_character(d, dp, n)
-        _emit({"subject": "character", "n": n,
-               "tableau": d.as_flat_list(), "tableau2": dp.as_flat_list(),
-               "total_multiplicity": char.total_multiplicity(),
-               "terms": [{"a_coeffs": list(a), "x_coeff": x, "multiplicity": m}
-                         for a, x, m in char.as_sorted_triples()]})
-        return EXIT_PASS
+        return {"subject": "character", "n": n,
+                "tableau": d.as_flat_list(), "tableau2": dp.as_flat_list(),
+                "total_multiplicity": char.total_multiplicity(),
+                "terms": [{"a_coeffs": list(a), "x_coeff": x, "multiplicity": m}
+                          for a, x, m in char.as_sorted_triples()]}
 
     # subject == "series"
     if args.kind == "denominator":
@@ -204,11 +202,10 @@ def _inspect(args, parser) -> int:
             series = toda_coefficients(n, pt.a_over_x(), args.max_degree, x=pt.x).tail
         else:
             series = cs_product_series(n, pt.a_over_x(), pt.m, args.max_degree)
-    _emit({"subject": "series", "kind": args.kind, "n": n,
-           "max_degree": args.max_degree,
-           "coefficients": [{"gamma": format_gamma(g), "value": format_rational(c)}
-                            for g, c in series.terms()]})
-    return EXIT_PASS
+    return {"subject": "series", "kind": args.kind, "n": n,
+            "max_degree": args.max_degree,
+            "coefficients": [{"gamma": format_gamma(g), "value": format_rational(c)}
+                             for g, c in series.terms()]}
 
 
 def main(argv=None) -> int:
@@ -222,23 +219,20 @@ def main(argv=None) -> int:
     if not 0 <= getattr(args, "seed", 0) < 2 ** 64:
         parser.error(f"--seed must satisfy 0 <= seed < 2^64, got {args.seed}")
 
+    # run functions are looked up at call time, so a wrapper patched in here runs
     try:
         if args.command == "inspect":
             try:
-                return _inspect(args, parser)
+                document = _inspect(args, parser)
             except ValueError as exc:  # a malformed --gamma, --tableau or --a
                 parser.error(str(exc))
-
-        if args.command == "verify-main":
-            pt = _explicit_point(args, parser, need_m=True)
-            report = verify_main(args.n, args.max_degree, args.trials, args.seed,
-                                 explicit_point=pt, jobs=args.jobs)
-        elif args.command == "verify-toda":
-            pt = _explicit_point(args, parser, need_m=False)
-            report = verify_toda(args.n, args.max_degree, args.trials, args.seed,
-                                 explicit_point=pt, jobs=args.jobs)
+        elif args.command == "properties":
+            document = run_properties(args.n, args.max_degree, args.seed)
         else:
-            report = run_properties(args.n, args.max_degree, args.seed)
+            run = verify_main if args.command == "verify-main" else verify_toda
+            pt = _explicit_point(args, parser, need_m=args.command == "verify-main")
+            document = run(args.n, args.max_degree, args.trials, args.seed,
+                           explicit_point=pt, jobs=args.jobs)
     except GenericityExhausted as exc:
         print(f"genericity exhausted: {exc}", file=sys.stderr)
         return EXIT_NONGENERIC
@@ -246,8 +240,13 @@ def main(argv=None) -> int:
         print(f"non-generic parameters: {exc}", file=sys.stderr)
         return EXIT_NONGENERIC
 
-    _emit(report)
-    if report["verdict"] != "pass":
+    try:
+        _emit(document)
+    except OSError as exc:  # BrokenPipeError included
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # quiet the exit-time flush
+        print(f"error: report not written: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
+    if document.get("verdict", "pass") != "pass":
         print("verdict: fail", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_PASS

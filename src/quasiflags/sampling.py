@@ -10,6 +10,8 @@ multiplies.  The verify-* reports echo each trial's point and resample count.
 from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
+ZERO_SUM_BOUND = 50     # torus draws lie in [-50, 50] before recentring
+NONZERO_BOUND = 30      # numerators of sample_distinct_nonzero lie in [-30, 30]
 
 
 class SplitMix64:
@@ -40,12 +42,12 @@ class SplitMix64:
         return lo + self.below(hi - lo + 1)
 
 
-def sample_zero_sum_integers(rng: SplitMix64, n: int, bound: int = 50) -> tuple[Fraction, ...]:
-    """n distinct integers drawn from [-bound, bound], then recentred to an
-    exact zero sum by a_i -> n a_i - sum(a); the rescale keeps them distinct
-    integers."""
+def sample_zero_sum_integers(rng: SplitMix64, n: int) -> tuple[Fraction, ...]:
+    """n distinct integers drawn from [-ZERO_SUM_BOUND, ZERO_SUM_BOUND], then
+    recentred to an exact zero sum by a_i -> n a_i - sum(a); the rescale keeps
+    them distinct integers."""
     while True:
-        draw = [rng.integer(-bound, bound) for _ in range(n)]
+        draw = [rng.integer(-ZERO_SUM_BOUND, ZERO_SUM_BOUND) for _ in range(n)]
         if len(set(draw)) == n:
             break
     total = sum(draw)
@@ -62,11 +64,11 @@ def sample_coupling(rng: SplitMix64, forbid=()) -> Fraction:
             return m
 
 
-def sample_distinct_nonzero(rng: SplitMix64, n: int, bound: int = 30) -> tuple[Fraction, ...]:
-    """n distinct nonzero rationals with small numerator/denominator."""
+def sample_distinct_nonzero(rng: SplitMix64, n: int) -> tuple[Fraction, ...]:
+    """n distinct nonzero rationals p/q with |p| <= NONZERO_BOUND, q in [1, 4]."""
     values: list[Fraction] = []
     while len(values) < n:
-        v = Fraction(rng.integer(-bound, bound), rng.integer(1, 4))
+        v = Fraction(rng.integer(-NONZERO_BOUND, NONZERO_BOUND), rng.integer(1, 4))
         if v != 0 and v not in values:
             values.append(v)
     return tuple(values)

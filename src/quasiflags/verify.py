@@ -234,12 +234,10 @@ def _character_record(n, max_degree) -> dict:
                 if total != expected:
                     witnesses.append(f"n={nn} rank {total} != {expected} at "
                                      f"({d.as_flat_list()}, {dp.as_flat_list()})")
-                negative = [key for key, mult in counts.items() if mult < 0]
-                if negative:
-                    key = min(negative)
-                    witnesses.append(f"n={nn} at ({d.as_flat_list()}, "
-                                     f"{dp.as_flat_list()}): negative multiplicity "
-                                     f"{counts[key]} at (j, j', k) = {key}")
+                try:
+                    weight_table(counts)  # raises on a negative multiplicity
+                except InternalInconsistency as exc:
+                    witnesses.append(f"n={nn} at ({d.as_flat_list()}, {dp.as_flat_list()}): {exc}")
         for d, _ in tabs:
             try:
                 tangent_table(d, nn)  # raises on zero weight or bad size
@@ -250,12 +248,16 @@ def _character_record(n, max_degree) -> dict:
                    f"n<={n}, row sums<={bound}, {pairs} pairs", witnesses[:8])
 
 
+def _sample_pairs(n) -> list[tuple[Tableau, Tableau]]:
+    """The first eight ordered pairs of rank-n fixed points with |gamma| <= 2."""
+    tabs = [t for g in degree_vectors(n - 1, 2) for t in enumerate_fixed_points(n, g)]
+    return [(d, dp) for d in tabs for dp in tabs][:8]
+
+
 def _shift_defect_record(n) -> dict:
     witnesses = []
     for nn in range(2, min(n, 3) + 1):
-        tabs = [t for g in degree_vectors(nn - 1, 2)
-                for t in enumerate_fixed_points(nn, g)]
-        sample_pairs = [(d, dp) for d in tabs for dp in tabs][:8]
+        sample_pairs = _sample_pairs(nn)
         for m in (1, 2, 3):
             distinct = set()
             for d, dp in sample_pairs:
@@ -287,16 +289,15 @@ def _twist_ratio_record(n, rng) -> dict:
     witnesses = []
     values = []
     for nn in range(2, min(n, 3) + 1):
+        pairs = _sample_pairs(nn)
         for m_int in (1, 2):
             def attempt(pt):
                 y = twist_constant(nn, m_int, pt)
-                tabs = [t for g in degree_vectors(nn - 1, 2)
-                        for t in enumerate_fixed_points(nn, g)]
-                pairs = [(dp, d) for dp in tabs for d in tabs][:8]
+                zero_coupling = pt.with_m(0)
                 bad = []
                 for dp, d in pairs:
                     top = chern_matrix_element(dp, d, pt)
-                    bottom = chern_matrix_element(dp, d.shift(m_int), pt.with_m(0))
+                    bottom = chern_matrix_element(dp, d.shift(m_int), zero_coupling)
                     if top != y * bottom:
                         bad.append((dp, d))
                 return y, bad
@@ -328,18 +329,17 @@ def _coupling_zero_record(n, max_degree, rng) -> dict:
 
 def _scaling_record(n, max_degree, rng) -> dict:
     bound = min(max_degree, 3)
+    gammas = [g for g in degree_vectors(n - 1, bound) if total_degree(g)]
 
     def attempt(pt):
+        base = [(chern_series_coefficient(n, g, pt), volume_coefficient(n, g, pt))
+                for g in gammas]
         found = []
         for t in (Fraction(2), Fraction(-3), Fraction(5, 7)):
             scaled = pt.scaled(t)
-            for gamma in degree_vectors(n - 1, bound):
-                if total_degree(gamma) == 0:
-                    continue
-                base = chern_series_coefficient(n, gamma, pt)
-                if chern_series_coefficient(n, gamma, scaled) != base:
+            for gamma, (chern, vol) in zip(gammas, base):
+                if chern_series_coefficient(n, gamma, scaled) != chern:
                     found.append(f"chern not scale-invariant at {format_gamma(gamma)}, t={t}")
-                vol = volume_coefficient(n, gamma, pt)
                 expect = vol * t ** (-2 * total_degree(gamma))
                 if volume_coefficient(n, gamma, scaled) != expect:
                     found.append(f"volume scaling off at {format_gamma(gamma)}, t={t}")
@@ -408,13 +408,10 @@ def _cartan_record(n, rng) -> dict:
     witnesses = []
     pt = ParameterPoint(sample_zero_sum_integers(rng, n), Fraction(1), Fraction(0))
     for gamma in degree_vectors(n - 1, 3):
+        lam = tuple(ai / pt.x - r + g for ai, r, g in zip(pt.a, rho(n), embed_degree(gamma, n)))
         for d in enumerate_fixed_points(n, gamma):
-            lam = tuple(ai / pt.x - r + g for ai, r, g in
-                        zip(pt.a, rho(n), embed_degree(gamma, n)))
             for i in range(1, n):
-                direct = cartan_eigenvalue(i, d, pt)
-                via_pairing = lam[i - 1] - lam[i]
-                if direct != via_pairing:
+                if cartan_eigenvalue(i, d, pt) != lam[i - 1] - lam[i]:
                     witnesses.append(f"i={i} gamma={format_gamma(gamma)}")
     return _record("Cartan eigenvalues agree with the weight-pairing form",
                    f"n={n}, |gamma|<=3", witnesses)

@@ -84,11 +84,15 @@ NON_GENERIC_STDERR = (
     "m=Fraction(1, 1))\n")
 
 
-def _run(command, check):
+def _argv_env(command):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "quasiflags", *command.split()],
-                          capture_output=True, env=env, check=check)
+    return [sys.executable, "-m", "quasiflags", *command.split()], env
+
+
+def _run(command, check):
+    argv, env = _argv_env(command)
+    return subprocess.run(argv, capture_output=True, env=env, check=check)
 
 
 @pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
@@ -102,3 +106,40 @@ def test_non_generic_point_message_is_pinned():
     assert run.returncode == 2
     assert run.stdout == b""
     assert run.stderr.decode() == NON_GENERIC_STDERR
+
+
+# a ~134 KB report, more than a pipe buffer holds
+LARGE_REPORT = "verify-main --n 8 --max-degree 5 --trials 1"
+
+
+def _assert_report_not_written(code, stderr):
+    assert code == 4
+    assert "Traceback" not in stderr
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("error: report not written: ")
+
+
+def test_a_closed_pipe_exits_4_with_one_line():
+    argv, env = _argv_env(LARGE_REPORT)
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+    _assert_report_not_written(proc.returncode, stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_device_exits_4_with_one_line():
+    argv, env = _argv_env(LARGE_REPORT)
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env)
+    _assert_report_not_written(run.returncode, run.stderr.decode())
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+def test_a_closed_descriptor_exits_4_with_one_line():
+    argv, env = _argv_env(LARGE_REPORT)
+    run = subprocess.run(argv, stderr=subprocess.PIPE, env=env,
+                         preexec_fn=lambda: os.close(1))
+    _assert_report_not_written(run.returncode, run.stderr.decode())

@@ -175,6 +175,21 @@ def test_abandoned_point_leaves_no_witnesses(monkeypatch, record, args):
     assert rec["witnesses"] == []
 
 
+def test_scaling_record_computes_each_base_coefficient_once(monkeypatch):
+    """Nine degrees 0 < |gamma| <= 3 at n = 3: one base Chern coefficient
+    each, then one per scale factor t."""
+    original = verify.chern_series_coefficient
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify, "chern_series_coefficient", counted)
+    assert verify._scaling_record(3, 3, SplitMix64(1))["passed"]
+    assert len(calls) == 9 + 3 * 9
+
+
 def _fails_once(original):
     calls = []
 
