@@ -65,26 +65,28 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
 
-def _add_common(sub, verify=True):
-    """Flags shared by the verify-* commands; properties (verify=False) takes
-    neither --trials, --jobs nor an explicit point."""
+def _add_common(sub, command):
+    """Flags shared by the report commands; properties takes neither --trials,
+    --jobs nor an explicit point, and verify-toda takes no coupling --m."""
+    sub.set_defaults(m=None)  # _point reads args.m; only verify-main sets it
     sub.add_argument("--n", type=int, default=3, help="rank parameter (default 3)")
     sub.add_argument("--max-degree", type=int, default=4,
                      help="total-degree truncation D (default 4)")
-    if verify:
+    if command != "properties":
         sub.add_argument("--trials", type=int, default=5,
                          help="number of sampled parameter points (default 5)")
     sub.add_argument("--seed", type=int, default=1,
                      help="seed for the splitmix64 sampling stream, 0 <= seed < 2^64")
-    if not verify:
+    if command == "properties":
         return
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted and ignored, kept for compatibility "
                           "(degrees are evaluated serially)")
     sub.add_argument("--a", type=str, default=None,
                      help="explicit zero-sum torus point, comma-separated rationals")
-    sub.add_argument("--m", type=_parse_rational_arg, default=None,
-                     help="explicit coupling (rational p/q)")
+    if command == "verify-main":
+        sub.add_argument("--m", type=_parse_rational_arg, default=None,
+                         help="explicit coupling (rational p/q)")
     sub.add_argument("--x", type=_parse_rational_arg, default=None,
                      help="loop-weight gauge with --a (rational, default 1)")
 
@@ -122,7 +124,7 @@ def build_parser() -> _Parser:
     for name, help_text in (("verify-main", "Chern series identity"),
                             ("verify-toda", "volume / Toda identity"),
                             ("properties", "cross-module invariants")):
-        _add_common(commands.add_parser(name, help=help_text), verify=name != "properties")
+        _add_common(commands.add_parser(name, help=help_text), name)
 
     ins = commands.add_parser("inspect", help="dump exact data, no verdict")
     ins.add_argument("subject", choices=["fixed-points", "tangent-weights",

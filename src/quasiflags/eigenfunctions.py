@@ -18,9 +18,9 @@ the operator check share one walk of per-root prefix chain sums (_chain_sums),
 on int numerator and denominator lists with one Fraction per coefficient.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import ResonantParameter
 from .roots import WeightVec, check_zero_sum, inner
@@ -28,8 +28,7 @@ from .series import (RootLattice, Series, check_degree_vector, root_lattice,
                      total_degree, weyl_fold)
 
 
-@dataclass(frozen=True)
-class EigenSeries:
+class EigenSeries(NamedTuple):
     """A highest-weight eigenfunction: base point lam0, tail of coefficients
     on the negative root cone (unit at degree zero), and eigenvalue
     s = (lam0, lam0)."""

@@ -21,7 +21,7 @@ through one integer evaluator, _products, and the row-transfer sums stay on ints
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -34,21 +34,18 @@ from .series import degree_vectors
 from .tableaux import Tableau, enumerate_fixed_points, row_heads
 
 
-@dataclass(frozen=True)
-class ParameterPoint:
+class ParameterPoint(namedtuple("ParameterPoint", "a x m")):
     """Exact evaluation point: zero-sum torus parameters a, loop weight x != 0,
     Chern parameter m.  In the default gauge x = 1 the a_i play a_i/x."""
 
-    a: tuple[Fraction, ...]
-    x: Fraction = field(default=Fraction(1))
-    m: Fraction = field(default=Fraction(0))
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", check_zero_sum(self.a))
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "m", Fraction(self.m))
-        if self.x == 0:
+    def __new__(cls, a, x=Fraction(1), m=Fraction(0)):
+        a = check_zero_sum(a)
+        x, m = Fraction(x), Fraction(m)
+        if x == 0:
             raise ValueError("x must be nonzero")
+        return super().__new__(cls, a, x, m)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     @property
     def n(self) -> int:

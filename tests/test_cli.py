@@ -161,6 +161,9 @@ def test_inspect_series_denominator(capsys):
     # --x, like --m, sets part of an explicit point and needs --a
     ["verify-toda", "--x", "2"],
     ["verify-main", "--x", "0"],
+    # verify-toda has no coupling, so a report echoing --m would state an unused input
+    ["verify-toda", "--n", "2", "--max-degree", "2", "--trials", "1", "--a", "3,-3",
+     "--m", "5"],
     ["properties", "--n", "1"],
     ["properties", "--a", "garbage"],
     ["properties", "--m", "1"],

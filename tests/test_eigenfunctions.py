@@ -24,6 +24,8 @@ def test_normalization_and_eigenvalue():
     series = cs_coefficients(2, A2, Fraction(3, 2), 4)
     assert series.coefficient((0,)) == 1
     assert series.eigenvalue == inner(A2, A2)
+    assert series.rank == series.tail.rank == 1
+    assert series == EigenSeries(A2, series.tail, inner(A2, A2))
 
 
 def test_n2_one_step_closed_form():

@@ -33,10 +33,31 @@ def n2_closed_form(d, pt):
 
 
 def test_parameter_point_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to zero"):
         ParameterPoint((Fraction(1), Fraction(1)))
-    with pytest.raises(ValueError):
-        ParameterPoint((Fraction(1), Fraction(-1)), Fraction(0))
+    # the zero-sum check comes first, before x is read
+    with pytest.raises(ValueError, match="sum to zero"):
+        ParameterPoint((Fraction(1), Fraction(1)), Fraction(0))
+    pt = ParameterPoint((Fraction(1), Fraction(-1)), Fraction(2))
+    # every construction path checks the fields, _replace included
+    for build in (lambda: ParameterPoint((Fraction(1), Fraction(-1)), Fraction(0)),
+                  lambda: pt._replace(x=0), lambda: pt.scaled(0)):
+        with pytest.raises(ValueError, match="nonzero"):
+            build()
+    with pytest.raises(ValueError, match="sum to zero"):
+        pt._replace(a=(1, 1))
+
+
+def test_parameter_point_fields():
+    exact = ParameterPoint((Fraction(6), Fraction(1), Fraction(-7)), Fraction(1), Fraction(0))
+    # keyword construction with defaults, as in the README, and int inputs
+    # (the CLI passes m = 0) come back as Fractions
+    for pt in (ParameterPoint((6, 1, -7), m=0), ParameterPoint((6, 1, -7), 1, 0),
+               exact._replace(m=0)):
+        assert pt == exact and hash(pt) == hash(exact)
+        assert all(type(c) is Fraction for c in (*pt.a, pt.x, pt.m))
+    assert exact != exact.with_m(1)
+    assert exact.integer_scaling is exact.integer_scaling
 
 
 def test_evaluate_weight_examples():
