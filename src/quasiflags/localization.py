@@ -9,15 +9,16 @@ weight is reported as NonGenericParameter so the caller can resample the
 point.
 
 There are two evaluations of the same sums.  The per-point kernel,
-weight_ratio, serves single coefficients (chern_series_coefficient,
-volume_coefficient), matrix elements and the property checks.  The
-verification runs need every coefficient with |gamma| <= D at once, and
-there the tangent character factors over flag steps, each step depending on
-two consecutive rows only; chern_series_coefficients and volume_coefficients
-sum those step factors along a row-transfer graph, with no fixed point
-enumerated and no tangent table built, and fall back to the kernel at the
-degrees a local pole of a step factor reaches.  Both read their weights
-through one integer evaluator, _products, and the row-transfer sums stay on ints.
+weight_ratio, serves matrix elements, the public single coefficients
+(chern_series_coefficient, volume_coefficient) and the row-transfer
+fallback.  Every series the package compares needs each coefficient with
+|gamma| <= D at once, and there the tangent character factors over flag
+steps, each step depending on two consecutive rows only;
+chern_series_coefficients and volume_coefficients sum those step factors
+along a row-transfer graph, with no fixed point enumerated and no tangent
+table built, and fall back to the kernel at the degrees a local pole of a
+step factor reaches.  Both read their weights through one integer
+evaluator, _products, and the row-transfer sums stay on ints.
 """
 
 import math

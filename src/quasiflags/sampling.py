@@ -10,7 +10,7 @@ multiplies.  The verify-* reports echo each trial's point and resample count.
 from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
-ZERO_SUM_BOUND = 50     # torus draws lie in [-50, 50] before recentring
+ZERO_SUM_BOUND = 50     # torus draws lie in [-50, 50] before recentring while n <= 14
 NONZERO_BOUND = 30      # numerators of sample_distinct_nonzero lie in [-30, 30]
 
 
@@ -43,11 +43,14 @@ class SplitMix64:
 
 
 def sample_zero_sum_integers(rng: SplitMix64, n: int) -> tuple[Fraction, ...]:
-    """n distinct integers drawn from [-ZERO_SUM_BOUND, ZERO_SUM_BOUND], then
-    recentred to an exact zero sum by a_i -> n a_i - sum(a); the rescale keeps
-    them distinct integers."""
+    """n distinct integers drawn from [-B, B], B = max(ZERO_SUM_BOUND, n^2 // 4),
+    then recentred to an exact zero sum by a_i -> n a_i - sum(a); the rescale
+    keeps them distinct integers.  Past n = 14, B grows as n^2 // 4, so a draw
+    is distinct with probability about 1/e; a fixed B = 50 could never give
+    more than 101 distinct integers."""
+    bound = max(ZERO_SUM_BOUND, n * n // 4)
     while True:
-        draw = [rng.integer(-ZERO_SUM_BOUND, ZERO_SUM_BOUND) for _ in range(n)]
+        draw = [rng.integer(-bound, bound) for _ in range(n)]
         if len(set(draw)) == n:
             break
     total = sum(draw)

@@ -8,9 +8,11 @@ Reports contain only mathematical data (no timestamps, no worker counts), are
 assembled in a fixed order, and render all scalars as exact rational strings,
 so a run is replayable and byte-reproducible from its seed and flags alone.
 
-Both sides of an identity exist only at generic points: every sampled point,
-in the verify runs and the property records alike, comes from _first_generic,
-which redraws a non-generic point at most RETRY_BUDGET times.
+Both sides of an identity exist only at generic points: every sampled point
+of the verify runs and of the five sampled property records comes from
+_first_generic, which redraws a non-generic point at most RETRY_BUDGET times.
+Every localization series, in the runs and the records alike, is read from
+the row-transfer lists (chern_series_coefficients, volume_coefficients).
 """
 
 from fractions import Fraction
@@ -22,9 +24,8 @@ from .eigenfunctions import (apply_cs_operator, check_nonresonant, cs_coefficien
 from .hall import (QuiverRepClass, all_ones_unitriangular, check_product_identity,
                    conjugator_check, hall_count, indecomposable_matrix,
                    root_exponential_product, unipotent_product)
-from .localization import (ParameterPoint, chern_matrix_element,
-                           chern_series_coefficient, chern_series_coefficients,
-                           volume_coefficient, volume_coefficients, weight_ratio)
+from .localization import (ParameterPoint, chern_matrix_element, chern_series_coefficients,
+                           volume_coefficients, weight_ratio)
 from .matrices import Matrix
 from .roots import (embed_degree, kostant_count, pairing,
                     positive_root_pairs_descending, rho, rho_vee)
@@ -77,11 +78,12 @@ def _first_generic(rng, n, coupling, compute, explicit_point=None):
 def _run_trials(command, n, max_degree, trials, seed, explicit_point, coupling,
                 fixed_point_side, analytic_side, diagnostics=None):
     """One _first_generic point per trial (the explicit point makes a single
-    trial); returns the report.  An attempt checks resonance through
-    max_degree, then compares fixed_point_side(n, max_degree, pt) with
-    analytic_side(checked, pt) row by row, then, if given, adds
-    diagnostics(n, max_degree, pt, rhs, labels) as the limit diagnostics.  The
-    gamma labels are rendered once per run, and an equal pair once."""
+    trial, and the report echoes the trials run); returns the report.  An
+    attempt checks resonance through max_degree, then compares
+    fixed_point_side(n, max_degree, pt) with analytic_side(checked, pt) row
+    by row, then, if given, adds diagnostics(n, max_degree, pt, rhs, labels)
+    as the limit diagnostics.  The gamma labels are rendered once per run,
+    and an equal pair once."""
     labels = [format_gamma(g) for g in degree_vectors(n - 1, max_degree)]
 
     def compute(pt: ParameterPoint) -> dict:
@@ -114,7 +116,7 @@ def _run_trials(command, n, max_degree, trials, seed, explicit_point, coupling,
                     "resamples": resamples, **result})
     return {
         "command": command,
-        "parameters": {"n": n, "max_degree": max_degree, "trials": trials,
+        "parameters": {"n": n, "max_degree": max_degree, "trials": len(out),
                        "seed": seed,
                        "explicit_point": (_point_record(explicit_point)
                                           if explicit_point else None)},
@@ -315,12 +317,10 @@ def _twist_ratio_record(n, rng) -> dict:
 
 def _coupling_zero_record(n, max_degree, rng) -> dict:
     def attempt(pt):
-        found = []
-        for gamma in degree_vectors(n - 1, max_degree):
-            value = chern_series_coefficient(n, gamma, pt)
-            if value != kostant_count(gamma, n):
-                found.append(f"gamma={format_gamma(gamma)}: {value}")
-        return found
+        values = chern_series_coefficients(n, max_degree, pt)
+        return [f"gamma={format_gamma(gamma)}: {value}"
+                for gamma, value in zip(degree_vectors(n - 1, max_degree), values)
+                if value != kostant_count(gamma, n)]
 
     _, _, witnesses = _first_generic(rng, n, lambda rng: 0, attempt)
     return _record("zero-coupling series counts the fixed points",
@@ -329,19 +329,20 @@ def _coupling_zero_record(n, max_degree, rng) -> dict:
 
 def _scaling_record(n, max_degree, rng) -> dict:
     bound = min(max_degree, 3)
-    gammas = [g for g in degree_vectors(n - 1, bound) if total_degree(g)]
+    gammas = list(degree_vectors(n - 1, bound))[1:]  # degree 0 comes first
+
+    def series(pt):  # (Chern, volume) coefficient pairs at 0 < |gamma| <= bound
+        return zip(chern_series_coefficients(n, bound, pt)[1:],
+                   volume_coefficients(n, bound, pt)[1:])
 
     def attempt(pt):
-        base = [(chern_series_coefficient(n, g, pt), volume_coefficient(n, g, pt))
-                for g in gammas]
+        base = list(series(pt))
         found = []
         for t in (Fraction(2), Fraction(-3), Fraction(5, 7)):
-            scaled = pt.scaled(t)
-            for gamma, (chern, vol) in zip(gammas, base):
-                if chern_series_coefficient(n, gamma, scaled) != chern:
+            for gamma, (chern, vol), (chern_t, vol_t) in zip(gammas, base, series(pt.scaled(t))):
+                if chern_t != chern:
                     found.append(f"chern not scale-invariant at {format_gamma(gamma)}, t={t}")
-                expect = vol * t ** (-2 * total_degree(gamma))
-                if volume_coefficient(n, gamma, scaled) != expect:
+                if vol_t != vol * t ** (-2 * total_degree(gamma)):
                     found.append(f"volume scaling off at {format_gamma(gamma)}, t={t}")
         return found
 
@@ -351,16 +352,17 @@ def _scaling_record(n, max_degree, rng) -> dict:
 
 
 def _strong_coupling_record(n, rng) -> dict:
+    couplings = (1000, 1_000_000)
+
     def attempt(pt):
+        vol = volume_coefficients(n, 2, pt)
+        chern = [chern_series_coefficients(n, 2, pt.with_m(m)) for m in couplings]
         found = []
-        for gamma in degree_vectors(n - 1, 2):
-            if total_degree(gamma) == 0:
+        for i, gamma in enumerate(degree_vectors(n - 1, 2)):
+            size = total_degree(gamma)
+            if size == 0:
                 continue
-            vol = volume_coefficient(n, gamma, pt)
-            ratios = []
-            for m in (1000, 1_000_000):
-                num = chern_series_coefficient(n, gamma, pt.with_m(m))
-                ratios.append(num / Fraction(m) ** (2 * total_degree(gamma)) / vol)
+            ratios = [c[i] / Fraction(m) ** (2 * size) / vol[i] for c, m in zip(chern, couplings)]
             if not abs(ratios[1] - 1) < abs(ratios[0] - 1):
                 found.append(f"gamma={format_gamma(gamma)}: ratios {ratios}")
         return found
@@ -389,14 +391,14 @@ def _eigen_record(n, max_degree, rng) -> dict:
 
 
 def _nongeneric_surface_record(n) -> dict:
-    # tangent spaces at degree (1,1,0,...) contain the pure weight a_1 - a_2,
-    # which vanishes when the a_i coincide; needs n >= 3
+    # at the all-zero point the row-transfer pass falls back to the kernel,
+    # which raises at a degree with two adjacent ones, (..., 1, 1): its
+    # tangent spaces contain a pure weight a_i - a_{i+1}; needs n >= 3
     nn = max(n, 3)
     pt = ParameterPoint((Fraction(0),) * nn, Fraction(1), Fraction(1))
-    gamma = (1, 1) + (0,) * (nn - 3)
     name = "degenerate torus parameters surface as NonGenericParameter"
     try:
-        chern_series_coefficient(nn, gamma, pt)
+        chern_series_coefficients(nn, 2, pt)
     except NonGenericParameter:
         return _record(name, f"n={nn}")
     except Exception as exc:  # noqa: BLE001 - the point is that nothing else escapes

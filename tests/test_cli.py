@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,20 @@ def test_explicit_point_flags(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["parameters"]["explicit_point"]["m"] == "3/2"
+    assert report["parameters"]["trials"] == len(report["trials"]) == 1
+
+
+def test_verify_main_finishes_when_n_outgrows_the_draw_range():
+    """102 distinct integers do not fit in [-50, 50]; the sampler widens its
+    range with n, so the run ends (in a child, so a hang is a timeout)."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "quasiflags", "verify-main", "--n", "102",
+                          "--max-degree", "1", "--trials", "1"],
+                         capture_output=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["verdict"] == "pass"
 
 
 def test_exit_code_nongeneric(capsys):

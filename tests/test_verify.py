@@ -149,45 +149,54 @@ def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch, run, lhs, rhs):
         localization.clear_caches()
 
 
-@pytest.mark.parametrize("record, args", [
-    (verify._coupling_zero_record, (3, 3)),
-    (verify._scaling_record, (3, 3)),
-    (verify._strong_coupling_record, (3,)),
+# the raising call comes after the wrong entry, at the same point
+@pytest.mark.parametrize("record, args, raising, at", [
+    (verify._coupling_zero_record, (3, 3), "kostant_count", 3),
+    (verify._scaling_record, (3, 3), "chern_series_coefficients", 3),
+    (verify._strong_coupling_record, (3,), "chern_series_coefficients", 2),
 ])
-def test_abandoned_point_leaves_no_witnesses(monkeypatch, record, args):
-    """The second Chern coefficient comes back wrong and the third meets a
-    vanishing weight, so the record resamples; every value at the point it
-    keeps is right, and the wrong value died with the abandoned point."""
-    original = verify.chern_series_coefficient
-    calls = []
+def test_abandoned_point_leaves_no_witnesses(monkeypatch, record, args, raising, at):
+    """The first Chern list comes back with a wrong second entry, and call
+    `at` of `raising` meets a vanishing weight, so the record resamples;
+    every value at the point it keeps is right, and the wrong value died
+    with the abandoned point."""
+    original_list = verify.chern_series_coefficients
+    calls, raised = [], []
 
-    def faulty(n, gamma, pt):
-        calls.append(gamma)
-        if len(calls) == 3:
+    def faulty_list(*args):
+        calls.append(args)
+        values = original_list(*args)
+        if len(calls) == 1:
+            values[1] = -values[1]
+        return values
+
+    def faulty_raising(*args):
+        raised.append(args)
+        if len(raised) == at:
             raise NonGenericParameter("injected")
-        value = original(n, gamma, pt)
-        return -value if len(calls) == 2 else value
+        return original_raising(*args)
 
-    monkeypatch.setattr(verify, "chern_series_coefficient", faulty)
+    monkeypatch.setattr(verify, "chern_series_coefficients", faulty_list)
+    original_raising = getattr(verify, raising)  # faulty_list when it is the list
+    monkeypatch.setattr(verify, raising, faulty_raising)
     rec = record(*args, SplitMix64(1))
-    assert len(calls) > 3
+    assert len(raised) > at
     assert rec["passed"], rec["witnesses"]
     assert rec["witnesses"] == []
 
 
 def test_scaling_record_computes_each_base_coefficient_once(monkeypatch):
-    """Nine degrees 0 < |gamma| <= 3 at n = 3: one base Chern coefficient
-    each, then one per scale factor t."""
-    original = verify.chern_series_coefficient
+    """One Chern list at the base point, then one per scale factor t."""
+    original = verify.chern_series_coefficients
     calls = []
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(verify, "chern_series_coefficient", counted)
+    monkeypatch.setattr(verify, "chern_series_coefficients", counted)
     assert verify._scaling_record(3, 3, SplitMix64(1))["passed"]
-    assert len(calls) == 9 + 3 * 9
+    assert len(calls) == 1 + 3
 
 
 def _fails_once(original):
@@ -205,11 +214,11 @@ def _fails_once(original):
 @pytest.mark.parametrize("patched, run, draws", [
     ("twist_constant", lambda: verify._twist_ratio_record(2, SplitMix64(2)),
      ["a", "a", "a"]),
-    ("chern_series_coefficient", lambda: verify._coupling_zero_record(2, 2, SplitMix64(2)),
+    ("chern_series_coefficients", lambda: verify._coupling_zero_record(2, 2, SplitMix64(2)),
      ["a", "a"]),
-    ("chern_series_coefficient", lambda: verify._scaling_record(2, 2, SplitMix64(2)),
+    ("chern_series_coefficients", lambda: verify._scaling_record(2, 2, SplitMix64(2)),
      ["a", "m", "a", "m"]),
-    ("chern_series_coefficient", lambda: verify._strong_coupling_record(2, SplitMix64(2)),
+    ("chern_series_coefficients", lambda: verify._strong_coupling_record(2, SplitMix64(2)),
      ["a", "a"]),
     ("cs_coefficients", lambda: verify._eigen_record(2, 2, SplitMix64(2)),
      ["a", "m", "a", "m"]),
@@ -340,3 +349,17 @@ def test_verify_runs_enumerate_no_fixed_points(monkeypatch):
     monkeypatch.setattr(localization, "tangent_table", forbidden)
     assert verify_main(4, 4, trials=2, seed=1)["verdict"] == "pass"
     assert verify_toda(4, 4, trials=2, seed=1)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_series_records_enumerate_no_fixed_points(monkeypatch, seed):
+    """The zero-coupling, scaling and strong-coupling records read the
+    row-transfer lists, at x = 1 and at the scaled points alike."""
+    def forbidden(*args):
+        raise AssertionError("per-point kernel called")
+
+    monkeypatch.setattr(localization, "enumerate_fixed_points", forbidden)
+    monkeypatch.setattr(localization, "tangent_table", forbidden)
+    assert verify._coupling_zero_record(3, 3, SplitMix64(seed))["passed"]
+    assert verify._scaling_record(3, 3, SplitMix64(seed))["passed"]
+    assert verify._strong_coupling_record(3, SplitMix64(seed))["passed"]
