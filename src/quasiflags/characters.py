@@ -177,7 +177,7 @@ def table_weights(table: WeightTable, n: int) -> tuple[TorusWeight, ...]:
                         for w in [pair_weight(j + 1, j_prime + 1, k, n)] * mult))
 
 
-@lru_cache(maxsize=8192)  # one key per fixed point: 160 on properties n=4 D=5
+@lru_cache(maxsize=8192)  # one key per fixed point: 9 on properties n=4 D=5
 def tangent_table(d: Tableau, n: int) -> WeightTable:
     """Weight table (see weight_table) of the tangent space at the fixed point
     d.  The diagonal character must be a genuine representation of dimension

@@ -17,7 +17,7 @@ the row-transfer lists (chern_series_coefficients, volume_coefficients).
 
 from fractions import Fraction
 
-from .characters import pair_counts, shift_defect, tangent_table, weight_table
+from .characters import pair_counts, shift_defect, weight_table
 from .errors import InternalInconsistency, NonGenericParameter
 from .eigenfunctions import (apply_cs_operator, check_nonresonant, cs_coefficients,
                              cs_product_coefficients, toda_tail_coefficients)
@@ -240,11 +240,9 @@ def _character_record(n, max_degree) -> dict:
                     weight_table(counts)  # raises on a negative multiplicity
                 except InternalInconsistency as exc:
                     witnesses.append(f"n={nn} at ({d.as_flat_list()}, {dp.as_flat_list()}): {exc}")
-        for d, _ in tabs:
-            try:
-                tangent_table(d, nn)  # raises on zero weight or bad size
-            except InternalInconsistency as exc:
-                witnesses.append(f"n={nn} tangent failure at {d.as_flat_list()}: {exc}")
+                if d is dp and (0, 0, 0) in counts:  # the diagonal is the tangent space
+                    witnesses.append(f"n={nn} tangent failure at {d.as_flat_list()}: "
+                                     f"zero weight in tangent space of {d}")
     return _record("pair characters have bundle rank, no negative multiplicity; "
                    "diagonals are genuine tangent spaces",
                    f"n<={n}, row sums<={bound}, {pairs} pairs", witnesses[:8])
@@ -355,6 +353,9 @@ def _strong_coupling_record(n, rng) -> dict:
     couplings = (1000, 1_000_000)
 
     def attempt(pt):
+        # m = 1e3 dominates a/x only once its spread is below 1: shrink it by 1 + max - min
+        a = pt.a_over_x()
+        pt = ParameterPoint(tuple(ai / (1 + max(a) - min(a)) for ai in a), 1, pt.m)
         vol = volume_coefficients(n, 2, pt)
         chern = [chern_series_coefficients(n, 2, pt.with_m(m)) for m in couplings]
         found = []
@@ -406,17 +407,18 @@ def _nongeneric_surface_record(n) -> dict:
     return _record(name, f"n={nn}", ["no error raised"])
 
 
-def _cartan_record(n, rng) -> dict:
+def _cartan_record(n, max_degree, rng) -> dict:
+    bound = min(max_degree, 3)
     witnesses = []
     pt = ParameterPoint(sample_zero_sum_integers(rng, n), Fraction(1), Fraction(0))
-    for gamma in degree_vectors(n - 1, 3):
+    for gamma in degree_vectors(n - 1, bound):
         lam = tuple(ai / pt.x - r + g for ai, r, g in zip(pt.a, rho(n), embed_degree(gamma, n)))
         for d in enumerate_fixed_points(n, gamma):
             for i in range(1, n):
                 if cartan_eigenvalue(i, d, pt) != lam[i - 1] - lam[i]:
                     witnesses.append(f"i={i} gamma={format_gamma(gamma)}")
     return _record("Cartan eigenvalues agree with the weight-pairing form",
-                   f"n={n}, |gamma|<=3", witnesses)
+                   f"n={n}, |gamma|<={bound}", witnesses)
 
 
 def _algebra_records(n, rng) -> list[dict]:
@@ -512,7 +514,7 @@ def run_properties(n: int, max_degree: int, seed: int) -> dict:
         _scaling_record(n, max_degree, rng),
         _strong_coupling_record(n, rng),
         _eigen_record(n, max_degree, rng),
-        _cartan_record(n, rng),
+        _cartan_record(n, max_degree, rng),
         _nongeneric_surface_record(n),
     ]
     records.extend(_algebra_records(n, rng))

@@ -339,6 +339,37 @@ def test_negative_multiplicity_witness_names_the_first_key(monkeypatch):
         "n=2 at ([0], [0]): negative multiplicity -2 at (j, j', k) = (0, 1, 2)"]
 
 
+def test_zero_weight_is_checked_on_the_pair_loop_map(monkeypatch):
+    """The diagonal pair's count map is the tangent character: a zero weight
+    there breaks the rank, then is named as a tangent failure."""
+    original = verify.pair_counts
+
+    def injected(d, d_prime, n):
+        counts = original(d, d_prime, n)
+        if d == d_prime == Tableau.zero(n):
+            counts[(0, 0, 0)] = 1
+        return counts
+
+    monkeypatch.setattr(verify, "pair_counts", injected)
+    rec = verify._character_record(2, 1)
+    assert rec["witnesses"] == [
+        "n=2 rank 1 != 0 at ([0], [0])",
+        "n=2 tangent failure at [0]: zero weight in tangent space of Tableau([[0]])"]
+
+
+# at the unshrunk point these four drew a spread of a/x where m = 1e3 lands
+# closer to the volume than m = 1e6 at some gamma
+@pytest.mark.parametrize("n, seed", [(14, 24), (16, 12), (16, 23), (24, 3)])
+def test_strong_coupling_record_holds_at_wide_spreads(n, seed):
+    assert verify._strong_coupling_record(n, SplitMix64(seed))["passed"]
+
+
+def test_cartan_record_caps_its_degree():
+    rec = verify._cartan_record(3, 1, SplitMix64(1))
+    assert rec["passed"]
+    assert rec["scale"] == "n=3, |gamma|<=1"
+
+
 def test_verify_runs_enumerate_no_fixed_points(monkeypatch):
     """Away from local poles of the step factors, verify-main and verify-toda
     sum over the row-transfer graph alone."""
