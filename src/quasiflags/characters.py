@@ -13,7 +13,9 @@ a_j - a_{j'} + k x (pair_counts), frozen for the localization kernel into a
 WeightTable; Character and TorusWeight are built from it only for the
 public API.  The blocks of flag step i depend only on the rows d'_i, d_i
 and d_{i+1}, so pair_counts sums one cached count map per step
-(step_counts), and pairs that share rows share the work.
+(step_counts), and pairs that share rows share the work; pair_count_rows,
+which builds every pair of a list of fixed points, sums each step once per
+distinct prefix d'_1, ..., d'_i.
 """
 
 from functools import lru_cache
@@ -151,6 +153,36 @@ def pair_counts(d: Tableau, d_prime: Tableau, n: int) -> dict[tuple[int, int, in
         for key, mult in zip(*step_counts(sources, rows[i], rows[i + 1])):
             acc[key] = acc.get(key, 0) + mult
     return {key: mult for key, mult in acc.items() if mult}
+
+
+def pair_count_rows(tableaux, n: int):
+    """For each d in tableaux, in order, the count maps of (d, d') for every d'
+    in tableaux, in order: pair_counts, except that a map may keep a key that
+    cancelled to 0 and equal d' share one map.  The distinct row prefixes of
+    the d' are laid out once, one layer per flag step, as (parent index, row);
+    for each d a prefix's map is a copy of its parent's plus one step_counts,
+    so a step is summed once per prefix, not once per pair."""
+    if any(t.n != n for t in tableaux):
+        raise ValueError("tableaux must match the ambient rank n")
+    layers: list[dict[tuple[int, tuple[int, ...]], int]] = [{} for _ in range(n - 1)]
+    leaves = []
+    for t in tableaux:
+        parent = 0
+        for layer, row in zip(layers, t.rows):
+            parent = layer.setdefault((parent, row), len(layer))
+        leaves.append(parent)
+    zero = (0,) * n
+    for d in tableaux:
+        rows, maps = d.rows + (zero,), [{}]
+        for i, layer in enumerate(layers):
+            grown = []
+            for parent, sources in layer:
+                acc = maps[parent].copy()
+                for key, mult in zip(*step_counts(sources, rows[i], rows[i + 1])):
+                    acc[key] = acc.get(key, 0) + mult
+                grown.append(acc)
+            maps = grown
+        yield [maps[leaf] for leaf in leaves]
 
 
 def pair_character(d: Tableau, d_prime: Tableau, n: int) -> Character:

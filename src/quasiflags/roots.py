@@ -89,6 +89,8 @@ def pairing(coweight, weight) -> Fraction:
 def _kostant_cached(n: int, gamma: DegreeVector) -> int:
     ways = {gamma: 1}  # remainder of gamma -> ways to reach it with the roots so far
     for sup in root_lattice(n, 0).supports:
+        if any(s > g for s, g in zip(sup, gamma)):  # every remainder lies below gamma
+            continue
         step = {}
         for rest, count in ways.items():
             while min(rest) >= 0:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 import quasiflags.characters as characters
 import quasiflags.localization as localization
 from quasiflags.characters import (Character, TorusWeight, geom_block,
-                                   pair_character, pair_counts, pair_weight,
+                                   pair_character, pair_count_rows, pair_counts, pair_weight,
                                    shift_defect, tangent_table, tangent_weights,
                                    weight_table)
 from quasiflags.errors import InternalInconsistency
@@ -222,6 +222,24 @@ def test_step_block_pair_counts_match_direct_loop(case):
         counts.clear()
         counts[(0, 0, 0)] = 7
         assert pair_counts(first, second, n) == expected
+
+
+def test_pair_count_rows_match_pair_counts_on_every_pair():
+    """The shared-prefix walk, its cancelled keys dropped, is pair_counts on
+    every ordered pair with row sums <= 5."""
+    for n in (2, 3, 4):
+        tabs = [t for g in degree_vectors(n - 1, 5) for t in enumerate_fixed_points(n, g)]
+        rows = list(pair_count_rows(tabs, n))
+        assert len(rows) == len(tabs)
+        for d, row in zip(tabs, rows):
+            assert len(row) == len(tabs)
+            for dp, counts in zip(tabs, row):
+                assert {k: m for k, m in counts.items() if m} == pair_counts(d, dp, n)
+
+
+def test_pair_count_rows_rejects_a_foreign_rank():
+    with pytest.raises(ValueError):
+        next(pair_count_rows([Tableau.zero(3)], 2))
 
 
 # -- differential test of the integer count map ------------------------------

@@ -5,6 +5,7 @@ from quasiflags.roots import (embed_degree, inner, kostant_count, pairing,
                               positive_root_pairs_descending, positive_roots,
                               rho, rho_vee, simple_root)
 from quasiflags.series import degree_vectors, denominator_power_series
+from quasiflags.tableaux import enumerate_fixed_points
 
 
 def test_root_normalization():
@@ -87,6 +88,13 @@ def test_kostant_examples():
     assert kostant_count((1, 1), 3) == 2
     for d in range(7):
         assert kostant_count((d,), 2) == 1
+    # alpha_1 + alpha_3 only: the roots through alpha_2 do not fit
+    assert kostant_count((1, 0, 1), 4) == 1
+
+
+def test_kostant_matches_fixed_point_count_at_large_rank():
+    gamma = (0,) * 20 + (1,) + (0,) * 10
+    assert kostant_count(gamma, 32) == len(enumerate_fixed_points(32, gamma)) == 1
 
 
 def test_kostant_matches_denominator_expansion():

@@ -321,18 +321,24 @@ def test_toda_targets_at_x_other_than_one_are_the_unit_gauge_coefficients(n, max
         assert diag["target"] == format_rational(unit_gauge.coefficient(gamma))
 
 
+def inject_into_zero_pair(monkeypatch, entries):
+    """Make the character record see `entries` in the zero pair's count map."""
+    original = verify.pair_count_rows
+
+    def injected(tableaux, n):
+        zero = tableaux.index(Tableau.zero(n))
+        for i, row in enumerate(original(tableaux, n)):
+            if i == zero:
+                row[zero] = {**row[zero], **entries}
+            yield row
+
+    monkeypatch.setattr(verify, "pair_count_rows", injected)
+
+
 def test_negative_multiplicity_witness_names_the_first_key(monkeypatch):
     """The character record names the first negative multiplicity in sorted
     key order; the rank stays right, so that is the only witness."""
-    original = verify.pair_counts
-
-    def injected(d, d_prime, n):
-        counts = original(d, d_prime, n)
-        if d == d_prime == Tableau.zero(n):
-            counts.update({(1, 0, 5): -1, (0, 1, 2): -2, (0, 0, 9): 3})
-        return counts
-
-    monkeypatch.setattr(verify, "pair_counts", injected)
+    inject_into_zero_pair(monkeypatch, {(1, 0, 5): -1, (0, 1, 2): -2, (0, 0, 9): 3})
     rec = verify._character_record(2, 1)
     assert not rec["passed"]
     assert rec["witnesses"] == [
@@ -342,19 +348,18 @@ def test_negative_multiplicity_witness_names_the_first_key(monkeypatch):
 def test_zero_weight_is_checked_on_the_pair_loop_map(monkeypatch):
     """The diagonal pair's count map is the tangent character: a zero weight
     there breaks the rank, then is named as a tangent failure."""
-    original = verify.pair_counts
-
-    def injected(d, d_prime, n):
-        counts = original(d, d_prime, n)
-        if d == d_prime == Tableau.zero(n):
-            counts[(0, 0, 0)] = 1
-        return counts
-
-    monkeypatch.setattr(verify, "pair_counts", injected)
+    inject_into_zero_pair(monkeypatch, {(0, 0, 0): 1})
     rec = verify._character_record(2, 1)
     assert rec["witnesses"] == [
         "n=2 rank 1 != 0 at ([0], [0])",
         "n=2 tangent failure at [0]: zero weight in tangent space of Tableau([[0]])"]
+
+
+def test_a_cancelled_zero_weight_key_is_no_tangent_failure(monkeypatch):
+    """pair_count_rows may keep a key whose multiplicity cancelled to 0."""
+    inject_into_zero_pair(monkeypatch, {(0, 0, 0): 0})
+    rec = verify._character_record(2, 1)
+    assert rec["passed"] and rec["witnesses"] == []
 
 
 # at the unshrunk point these four drew a spread of a/x where m = 1e3 lands
