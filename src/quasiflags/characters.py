@@ -12,10 +12,9 @@ Internally a character is an integer count map (j, j', k) -> multiplicity of
 a_j - a_{j'} + k x (pair_counts), frozen for the localization kernel into a
 WeightTable; Character and TorusWeight are built from it only for the
 public API.  The blocks of flag step i depend only on the rows d'_i, d_i
-and d_{i+1}, so pair_counts sums one cached count map per step
-(step_counts), and pairs that share rows share the work; pair_count_rows,
-which builds every pair of a list of fixed points, sums each step once per
-distinct prefix d'_1, ..., d'_i.
+and d_{i+1}, so one walk, pair_count_rows, builds every pair map: it sums
+one cached count map per step (step_counts) once per distinct prefix
+d'_1, ..., d'_i of a list of fixed points.  pair_counts is its two-point case.
 """
 
 from functools import lru_cache
@@ -143,22 +142,17 @@ def pair_counts(d: Tableau, d_prime: Tableau, n: int) -> dict[tuple[int, int, in
     """Character of the framed-homomorphism bundle over the fixed pair (d, d')
     as a fresh count map (j, j', k) -> multiplicity of a_j - a_{j'} + k x, with
     0-indexed j, j', x-only weights keyed (0, 0, k) and no zero multiplicity:
-    the sum over steps i of step_counts(d'_i, d_i, d_{i+1}), with d_n = 0.
+    the two-point case of the walk pair_count_rows, i.e. the sum over steps i
+    of step_counts(d'_i, d_i, d_{i+1}), with d_n = 0.
     """
-    if d.n != n or d_prime.n != n:
-        raise ValueError("tableaux must match the ambient rank n")
-    acc: dict[tuple[int, int, int], int] = {}
-    rows = d.rows + ((0,) * n,)
-    for i, sources in enumerate(d_prime.rows):
-        for key, mult in zip(*step_counts(sources, rows[i], rows[i + 1])):
-            acc[key] = acc.get(key, 0) + mult
-    return {key: mult for key, mult in acc.items() if mult}
+    counts = next(pair_count_rows((d, d_prime), n))[1]
+    return {key: mult for key, mult in counts.items() if mult}
 
 
 def pair_count_rows(tableaux, n: int):
-    """For each d in tableaux, in order, the count maps of (d, d') for every d'
-    in tableaux, in order: pair_counts, except that a map may keep a key that
-    cancelled to 0 and equal d' share one map.  The distinct row prefixes of
+    """For each d in tableaux, in order, the count maps (see pair_counts) of
+    (d, d') for every d' in tableaux, in order; a map may keep a key that
+    cancelled to 0, and equal d' share one map.  The distinct row prefixes of
     the d' are laid out once, one layer per flag step, as (parent index, row);
     for each d a prefix's map is a copy of its parent's plus one step_counts,
     so a step is summed once per prefix, not once per pair."""

@@ -224,9 +224,9 @@ def test_step_block_pair_counts_match_direct_loop(case):
         assert pair_counts(first, second, n) == expected
 
 
-def test_pair_count_rows_match_pair_counts_on_every_pair():
-    """The shared-prefix walk, its cancelled keys dropped, is pair_counts on
-    every ordered pair with row sums <= 5."""
+def test_pair_count_rows_match_the_direct_loop_on_every_pair():
+    """The shared-prefix walk, its cancelled keys dropped, is the direct block
+    loop on every ordered pair with row sums <= 5."""
     for n in (2, 3, 4):
         tabs = [t for g in degree_vectors(n - 1, 5) for t in enumerate_fixed_points(n, g)]
         rows = list(pair_count_rows(tabs, n))
@@ -234,7 +234,22 @@ def test_pair_count_rows_match_pair_counts_on_every_pair():
         for d, row in zip(tabs, rows):
             assert len(row) == len(tabs)
             for dp, counts in zip(tabs, row):
-                assert {k: m for k, m in counts.items() if m} == pair_counts(d, dp, n)
+                assert {k: m for k, m in counts.items() if m} == direct_pair_counts(d, dp, n)
+
+
+def test_pair_counts_reads_the_prefix_walk(monkeypatch):
+    """pair_counts is the two-point case of pair_count_rows, not a second loop."""
+    calls = []
+    original = characters.pair_count_rows
+
+    def recorder(tableaux, n):
+        calls.append(tuple(tableaux))
+        return original(tableaux, n)
+
+    monkeypatch.setattr(characters, "pair_count_rows", recorder)
+    d, d_prime = Tableau([(2,), (0, 1)]), Tableau([(1,), (1, 0)])
+    assert pair_counts(d, d_prime, 3) == direct_pair_counts(d, d_prime, 3)
+    assert calls == [(d, d_prime)]
 
 
 def test_pair_count_rows_rejects_a_foreign_rank():
