@@ -12,12 +12,13 @@ Internally a character is an integer count map (j, j', k) -> multiplicity of
 a_j - a_{j'} + k x (pair_counts), frozen for the localization kernel into a
 WeightTable; Character and TorusWeight are built from it only for the
 public API.  The blocks of flag step i depend only on the rows d'_i, d_i
-and d_{i+1}, so one walk, pair_count_rows, builds every pair map: it sums
-one cached count map per step (step_counts) once per distinct prefix
-d'_1, ..., d'_i of a list of fixed points.  pair_counts is its two-point case.
+and d_{i+1} (step_intervals, as signed runs of k), so one walk, pair_count_rows,
+builds every pair map: it sums one cached count map per step (step_counts) once
+per distinct prefix d'_1, ..., d'_i of fixed points.  pair_counts is its two-point case.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InternalInconsistency
@@ -107,35 +108,47 @@ def geom_block(count: int) -> Character:
     return Character({TorusWeight((), -k): -1 for k in range(0, -count)})
 
 
-@lru_cache(maxsize=8192)  # 142 keys at n=3 D=24, 286 at n=3 D=48, 225 at n=8 D=5, 66 in properties
+@lru_cache(maxsize=8192)  # 66 keys in properties n=4 D=5; verify-main makes none
 def _key(a: int, b: int, k: int) -> tuple[int, int, int]:
     """One shared (j, j', k) tuple per key, so cached blocks hold references."""
     return (a, b, k)
 
 
-@lru_cache(maxsize=4096)  # 1,156 keys in the character record at n=4 D=5
-def step_counts(sources: tuple[int, ...], upper: tuple[int, ...], lower: tuple[int, ...]
-                ) -> WeightTable:
-    """Count map of flag step i, from sources = d'_i, upper = d_i and lower =
-    d_{i+1}, as a WeightTable with signed multiplicities and no zeros:
+def step_intervals(sources: tuple[int, ...], upper: tuple[int, ...], lower: tuple[int, ...]):
+    """Flag step i, from sources = d'_i, upper = d_i and lower = d_{i+1}, as
+    nonempty signed runs (j, j', lo, hi, mult), disjoint per (j, j'): each
+    weight a_j - a_{j'} + k x, k in (lo, hi], with multiplicity mult != 0 in
 
         sum_{j<=i+1, j'<=i} e^{a_j - a_{j'}} G(d'_i^{j'} - d_{i+1}^j)
       - sum_{j<=i,   j'<=i} e^{a_j - a_{j'}} G(d'_i^{j'} - d_i^j),  G = geom_block
     """
-    acc: dict[tuple[int, int, int], int] = {}
+    runs, ends = [], {}
     for j_prime, s in enumerate(sources):
         # G(s - l) - G(s - u) sums e^{kx} over the oriented interval
         # s - u < k <= s - l; the last l has no u, and G(s - s) = 0
         for j, (u, l) in enumerate(zip(upper + (s,), lower)):
-            lo, hi = s - u, s - l
-            ks, mult = (range(lo + 1, hi + 1), 1) if lo <= hi else (range(hi + 1, lo + 1), -1)
-            # every diagonal block has a-part 0, so they share (0, 0)
-            a, b = (j, j_prime) if j != j_prime else (0, 0)
-            for k in ks:
-                key = (a, b, k)
-                acc[key] = acc.get(key, 0) + mult
-    return (tuple(_key(*key) for key, mult in acc.items() if mult),
-            tuple(mult for mult in acc.values() if mult))
+            lo, hi, mult = (s - u, s - l, 1) if u >= l else (s - l, s - u, -1)
+            if j == j_prime:  # every diagonal block has a-part 0: they share (0, 0)
+                ends[lo] = ends.get(lo, 0) + mult
+                ends[hi] = ends.get(hi, 0) - mult
+            elif lo < hi:  # each off-diagonal (j, j') occurs once
+                runs.append((j, j_prime, lo, hi, mult))
+    points = sorted(ends)  # the diagonal runs: a sweep of the net multiplicity
+    return tuple(runs + [(0, 0, lo, hi, net) for lo, hi, net in zip(
+        points, points[1:], accumulate(ends[k] for k in points)) if net])
+
+
+def expand_runs(runs) -> WeightTable:
+    """Signed runs (see step_intervals) as a WeightTable, one key per k."""
+    return (tuple(_key(j, j_prime, k) for j, j_prime, lo, hi, _ in runs
+                  for k in range(lo + 1, hi + 1)),
+            tuple(mult for _, _, lo, hi, mult in runs for _ in range(hi - lo)))
+
+
+@lru_cache(maxsize=4096)  # 1,168 keys in properties n=4 D=5; verify-main fetches none
+def step_counts(sources, upper, lower) -> WeightTable:
+    """Count map of flag step i: step_intervals expanded, no zeros."""
+    return expand_runs(step_intervals(sources, upper, lower))
 
 
 def pair_counts(d: Tableau, d_prime: Tableau, n: int) -> dict[tuple[int, int, int], int]:

@@ -17,14 +17,16 @@ steps, each step depending on two consecutive rows only;
 chern_series_coefficients and volume_coefficients sum those step factors
 along a row-transfer graph, with no fixed point enumerated and no tangent
 table built, and fall back to the kernel at the degrees a local pole of a
-step factor reaches.  Both read their weights through one integer
-evaluator, _products, and the row-transfer sums stay on ints.
+step factor reaches.  A step is a few signed runs of k, each run's factor a
+quotient of prefix products equal to the per-key _products, all on ints.
 """
 
 import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import mul
 
 from . import characters
 from .characters import (TorusWeight, WeightTable, pair_counts, table_weights,
@@ -87,8 +89,8 @@ def evaluate_weight(w: TorusWeight, pt: ParameterPoint) -> Fraction:
 def _products(keys, mults, pt: ParameterPoint, chern: bool) -> tuple[int, int]:
     """(top, bottom) with top / bottom = prod ((V + M) / V)^mult (chern) or
     prod (1 / V)^mult over a count map with signed multiplicities, where
-    V = U_j - U_{j'} + k L is L/x times the weight value.  This is the only
-    place a weight is evaluated on integers."""
+    V = U_j - U_{j'} + k L is L/x times the weight value: the per-key
+    evaluator, which _step_factors telescopes over runs."""
     u, scale, shift = pt.integer_scaling
     top = bottom = 1
     for (j, j_prime, k), mult in zip(keys, mults):
@@ -166,16 +168,16 @@ def _transfer_table(n: int, max_degree: int):
     i).  Every state completes (by zero rows), so no state is dead, and the
     paths are the fixed points.
 
-    Returns (gammas, tables, layers): the degrees in degree_vectors order,
-    the WeightTable (characters.step_counts) of each distinct flag step
-    (upper, lower), and per row after row 0 (states: the D + 1 rows (e,))
-    its state count and transitions (source, step, target).  The last layer
-    steps onto the zero row, and its targets are the degree indices.
+    Returns (gammas, tables, layers, runs): the degrees in degree_vectors
+    order; per distinct flag step (upper, lower), the indices in runs of
+    its runs (characters.step_intervals); per row after row 0 (states: the
+    D + 1 rows (e,)) its state count and transitions (source, step,
+    target), the last layer's targets the degree indices; distinct runs.
 
-    Each table is checked once, here: a zero weight, or a total
-    multiplicity other than U + (i+1)(U - L), U and L the row sums and i
-    the step index, raises InternalInconsistency.  Summed over the steps of
-    a fixed point d that total is 2|d|."""
+    Each step is checked once, here: a (0, 0) run over k = 0 (a zero
+    weight), or a total multiplicity other than U + (i+1)(U - L), U and L
+    the row sums and i the step index, raises InternalInconsistency.
+    Summed over the steps of a fixed point d that total is 2|d|."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     steps: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
@@ -200,23 +202,53 @@ def _transfer_table(n: int, max_degree: int):
     layers.append((len(gammas), tuple(
         (source, steps.setdefault((upper, zero), len(steps)), position[sums])
         for source, (sums, upper) in enumerate(states))))
-    tables = tuple(characters.step_counts(upper, upper, lower) for upper, lower in steps)
-    for (upper, lower), (keys, mults) in zip(steps, tables):
-        size, expected = sum(mults), sum(upper) + len(upper) * (sum(upper) - sum(lower))
-        if (0, 0, 0) in keys:
+    numbers, tables = {}, []  # each distinct run, numbered; per step its run numbers
+    for upper, lower in steps:
+        runs = characters.step_intervals(upper, upper, lower)
+        size = sum(mult * (hi - lo) for _, _, lo, hi, mult in runs)
+        expected = sum(upper) + len(upper) * (sum(upper) - sum(lower))
+        if any(run[:2] == (0, 0) and run[2] < 0 <= run[3] for run in runs):
             raise InternalInconsistency(f"zero weight in flag step {upper} -> {lower}")
         if size != expected:
             raise InternalInconsistency(
                 f"flag step {upper} -> {lower} has multiplicity {size}, expected {expected}")
-    return gammas, tables, tuple(layers)
+        tables.append(tuple(numbers.setdefault(run, len(numbers)) for run in runs))
+    return gammas, tuple(tables), tuple(layers), tuple(numbers)
+
+
+def _step_factors(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> list:
+    """The (top, bottom) of _products on each step's expanded runs, at the
+    point.  Per pair (j, j'), V and V + M (1 for volume) have prefix products
+    P over k in (-D, D] that skip their one possible zero, so a run over
+    (lo, hi] costs (P[hi] // P[lo])^|mult|, or 0 if it holds the zero."""
+    _, tables, _, runs = _transfer_table(n, max_degree)
+    u, scale, shift = pt.integer_scaling
+    first = -max_degree  # every row entry lies in [0, D]
+
+    def prefix(base):  # P[k - first], and the k of the zero (first: none)
+        factors = (base + k * scale or 1 for k in range(first + 1, max_degree + 1))
+        return (list(accumulate(factors, mul, initial=1)),
+                -base // scale if base % scale == 0 else first)
+    ones = [1] * (2 * max_degree + 1), first
+    prefixes = {(j, j_prime): (prefix(u[j] - u[j_prime]),
+                               prefix(u[j] - u[j_prime] + shift) if chern else ones)
+                for j, j_prime in {run[:2] for run in runs}}
+    tops, bottoms = [], []  # per run, on the side _products puts it by the sign of mult
+    for j, j_prime, lo, hi, mult in runs:
+        (values, zero), (others, other_zero) = prefixes[j, j_prime]
+        value = 0 if lo < zero <= hi else values[hi - first] // values[lo - first]
+        other = 0 if lo < other_zero <= hi else others[hi - first] // others[lo - first]
+        tops.append(other ** mult if mult > 0 else value ** -mult)
+        bottoms.append(value ** mult if mult > 0 else other ** -mult)
+    return [(math.prod(map(tops.__getitem__, step)), math.prod(map(bottoms.__getitem__, step)))
+            for step in tables]
 
 
 def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> list[Fraction]:
     """Every Chern (chern) or volume coefficient with |gamma| <= D, in
-    degree_vectors order, as path sums over _transfer_table of step
-    factors: _products of each table the graph holds, at the point, an int
-    pair (top, bottom).  A state sums its sources on unreduced int pairs,
-    with one gcd when its layer is done; each degree then makes one Fraction.
+    degree_vectors order, as path sums over _transfer_table of _step_factors.
+    A state sums its sources on unreduced int pairs, with one gcd when its
+    layer is done; each degree then makes one Fraction.
 
     A step factor whose denominator vanishes poisons every degree reached
     through it (its bottom, a product, stays 0), and each poisoned degree
@@ -226,8 +258,8 @@ def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> l
     denominator vanishes no tangent weight does, and a vanishing step
     numerator is a genuine zero.  Every non-generic degree is thus poisoned,
     and the kernel raises there with its own NonGenericParameter."""
-    gammas, tables, layers = _transfer_table(n, max_degree)
-    factors = [_products(*table, pt, chern) for table in tables]
+    gammas, _, layers, _ = _transfer_table(n, max_degree)
+    factors = _step_factors(n, max_degree, pt, chern)
     tops = bottoms = [1] * (max_degree + 1)
     for count, moves in layers:
         nums, dens = [0] * count, [1] * count

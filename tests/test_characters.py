@@ -237,6 +237,41 @@ def test_pair_count_rows_match_the_direct_loop_on_every_pair():
                 assert {k: m for k, m in counts.items() if m} == direct_pair_counts(d, dp, n)
 
 
+def reference_step_counts(sources, upper, lower):
+    """Flag step i key by key, as step_counts summed it before a step became
+    runs: each block's oriented interval (s - u, s - l] of k is walked one k
+    at a time, and the diagonal blocks share (0, 0)."""
+    acc = {}
+    for j_prime, s in enumerate(sources):
+        for j, (u, l) in enumerate(zip(upper + (s,), lower)):
+            lo, hi = s - u, s - l
+            ks, mult = (range(lo + 1, hi + 1), 1) if lo <= hi else (range(hi + 1, lo + 1), -1)
+            a, b = (j, j_prime) if j != j_prime else (0, 0)
+            for k in ks:
+                acc[(a, b, k)] = acc.get((a, b, k), 0) + mult
+    return {key: mult for key, mult in acc.items() if mult}
+
+
+def test_step_runs_expand_to_the_per_k_block_loop():
+    """Every flag step of every pair (d, d') with n <= 4 and row sums <= 5,
+    sources d'_i != d_i included: the runs are disjoint per (j, j') and
+    nonzero, and expand to the per-k loop's map."""
+    steps = set()
+    for n in (2, 3, 4):
+        tabs = [t for g in degree_vectors(n - 1, 5) for t in enumerate_fixed_points(n, g)]
+        for i in range(n - 1):
+            pairs = {(t.rows[i], (t.rows + ((0,) * n,))[i + 1]) for t in tabs}
+            steps |= {(d.rows[i], upper, lower) for d in tabs for upper, lower in pairs}
+    assert len(steps) == 1156
+    for step in steps:
+        runs = characters.step_intervals(*step)
+        assert all(lo < hi and mult for _, _, lo, hi, mult in runs)
+        keys, mults = characters.expand_runs(runs)
+        assert len(set(keys)) == len(keys)
+        assert dict(zip(keys, mults)) == reference_step_counts(*step)
+        assert characters.step_counts(*step) == (keys, mults)
+
+
 def test_pair_counts_reads_the_prefix_walk(monkeypatch):
     """pair_counts is the two-point case of pair_count_rows, not a second loop."""
     calls = []

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from quasiflags import characters, localization
 from quasiflags.characters import TorusWeight, pair_character, tangent_weights
 from quasiflags.errors import InternalInconsistency, NonGenericParameter
-from quasiflags.localization import (ParameterPoint, _products, _transfer_table,
+from quasiflags.localization import (ParameterPoint, _products, _step_factors,
+                                     _transfer_table,
                                      chern_matrix_element, chern_ratio,
                                      chern_series_coefficient,
                                      chern_series_coefficients, evaluate_weight,
@@ -277,9 +278,15 @@ LOCAL_POLES = [
 ]
 
 
+def step_tables(n, max_degree):
+    """Each step of the row-transfer graph as the WeightTable of its runs."""
+    _, tables, _, runs = _transfer_table(n, max_degree)
+    return [characters.expand_runs([runs[i] for i in table]) for table in tables]
+
+
 @pytest.mark.parametrize("max_degree, pt, chern", LOCAL_POLES)
 def test_row_transfer_falls_back_at_local_poles(max_degree, pt, chern):
-    tables = _transfer_table(pt.n, max_degree)[1]
+    tables = step_tables(pt.n, max_degree)
     assert any(_products(*table, pt, chern)[1] == 0 for table in tables)
     assert_row_transfer_matches_kernel(pt.n, max_degree, pt)
 
@@ -290,7 +297,8 @@ def test_row_transfer_sums_past_a_vanishing_step_numerator():
     the last layer comes through such a step, so that degree's running sum
     is exactly 0 when its next, nonzero source arrives."""
     n, max_degree, pt = 3, 3, _point((-4, 1, 3), -2)
-    gammas, tables, layers = _transfer_table(n, max_degree)
+    gammas, _, layers, _ = _transfer_table(n, max_degree)
+    tables = step_tables(n, max_degree)
     target = gammas.index((1, 2))
     arriving = [tables[step] for _, step, t in layers[-1][1] if t == target]
     tops = [_products(*table, pt, True)[0] for table in arriving]
@@ -314,18 +322,45 @@ def test_row_transfer_raises_as_the_kernel_does(n, max_degree, pt):
     assert_row_transfer_matches_kernel(n, max_degree, pt)
 
 
+def assert_step_factors_equal_products(n, max_degree, pt):
+    """The telescoped factor of every step of the graph is, as an int pair,
+    _products over the step's expanded runs, for Chern and volume."""
+    tables = step_tables(n, max_degree)
+    for chern in (True, False):
+        expected = [_products(*table, pt, chern) for table in tables]
+        assert _step_factors(n, max_degree, pt, chern) == expected
+
+
+@pytest.mark.parametrize("n, max_degree", [
+    (n, d) for n, top in ((2, 8), (3, 6), (4, 4), (5, 3)) for d in range(top + 1)])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_step_factors_equal_products_on_every_graph(n, max_degree, data):
+    assert_step_factors_equal_products(n, max_degree, data.draw(points(n)))
+
+
+@pytest.mark.parametrize("n, max_degree, pt", [
+    *((pt.n, max_degree, pt) for max_degree, pt, _ in LOCAL_POLES),
+    (3, 3, _point((-4, 1, 3), -2)),  # V + M vanishes at the x-only k = 2
+    (4, 5, _point((6, -30, 10, 14), 0)),  # m = 0: V + M = V
+    (3, 4, _point((0, 0, 0), 1)),  # every a_j - a_j' vanishes
+])
+def test_step_factors_equal_products_at_special_points(n, max_degree, pt):
+    assert_step_factors_equal_products(n, max_degree, pt)
+
+
 @pytest.mark.parametrize("fault, message", [
-    (lambda keys, mults: (keys + ((0, 0, 0),), mults + (1,)),
+    (lambda runs: runs + ((0, 0, -1, 0, 1),),  # the weight 0 x
      r"zero weight in flag step \(\d+,\) -> "),
-    (lambda keys, mults: (keys[1:], mults[1:]),
+    (lambda runs: runs[1:],
      r"flag step .* has multiplicity -?\d+, expected -?\d+"),
 ])
 def test_transfer_table_checks_every_flag_step(monkeypatch, fault, message):
-    """A step count map with a zero weight, or with a key missing, is caught
+    """A step with a (0, 0) run over k = 0, or with a run missing, is caught
     when the row-transfer graph is built."""
-    original = characters.step_counts
+    original = characters.step_intervals
     localization.clear_caches()
-    monkeypatch.setattr(characters, "step_counts", lambda *rows: fault(*original(*rows)))
+    monkeypatch.setattr(characters, "step_intervals", lambda *rows: fault(original(*rows)))
     try:
         with pytest.raises(InternalInconsistency, match=message):
             chern_series_coefficients(3, 2, _point((7, 2, -9), Fraction(3, 2)))
@@ -335,16 +370,41 @@ def test_transfer_table_checks_every_flag_step(monkeypatch, fault, message):
 
 
 def test_row_transfer_fetches_no_step_table_once_the_graph_is_built(monkeypatch):
-    """The graph holds the step tables it checked: a further Chern or volume
-    pass over it asks characters.step_counts for nothing."""
+    """The graph holds the step runs it checked: a further Chern or volume
+    pass over it asks characters.step_intervals and step_counts for nothing."""
     n, max_degree, pt = 3, 4, _point((7, 2, -9), Fraction(3, 2))
     expected = chern_series_coefficients(n, max_degree, pt), volume_coefficients(n, max_degree, pt)
-    original, calls = characters.step_counts, []
+    calls = []
 
-    def counted(*rows):
-        calls.append(rows)
-        return original(*rows)
+    def counted(original):
+        def call(*rows):
+            calls.append(rows)
+            return original(*rows)
+        return call
 
-    monkeypatch.setattr(characters, "step_counts", counted)
+    for name in ("step_intervals", "step_counts"):
+        monkeypatch.setattr(characters, name, counted(getattr(characters, name)))
     again = chern_series_coefficients(n, max_degree, pt), volume_coefficients(n, max_degree, pt)
     assert calls == [] and again == expected
+
+
+def test_row_transfer_evaluates_no_weight_per_key(monkeypatch):
+    """A cold graph build and a Chern and volume pass at a generic point
+    make no per-key count map and call no per-key evaluator."""
+    n, max_degree = 3, 6
+    pt = _point((Fraction(7, 3), Fraction(2, 5), Fraction(-41, 15)), Fraction(3, 2))
+    expected = chern_series_coefficients(n, max_degree, pt), volume_coefficients(n, max_degree, pt)
+    localization.clear_caches()
+
+    def forbidden(*args):
+        raise AssertionError("per-key path called")
+
+    monkeypatch.setattr(localization, "_products", forbidden)
+    monkeypatch.setattr(characters, "step_counts", forbidden)
+    monkeypatch.setattr(characters, "expand_runs", forbidden)
+    try:
+        again = chern_series_coefficients(n, max_degree, pt), volume_coefficients(n, max_degree, pt)
+    finally:
+        monkeypatch.undo()
+        localization.clear_caches()
+    assert again == expected

@@ -45,6 +45,9 @@ GOLDEN = [
     # m = -9: the binomials of the Weyl fold vanish from the ninth on
     ("verify-main --n 3 --max-degree 24 --trials 1 --seed 1",
      "08e9373ea3f5013f725a99c6218a5bef9e2e53b2e86f110510f81894632342d4"),
+    # the deep rung: 1,225 degrees, step factors of several hundred bits
+    ("verify-main --n 3 --max-degree 48 --trials 1 --seed 1",
+     "8d71989f71c0a56aca9a6ef30f9d34cbed35bc4938289631f6f8f6e8834c4545"),
     # the product side at negative integer, zero-fold and rational couplings
     ("inspect series --n 3 --max-degree 10 --kind product --a=5/3,1/2,-13/6 --m=-4",
      "05dea9ee4d5cfce457d4f04d44b6ace2e06b3b85c7d6f641eb9fd51edacb50aa"),

@@ -115,10 +115,10 @@ def test_reports_are_deterministic_and_worker_invariant():
     assert base != other_seed
 
 
-def _transposed_step_counts(original):
+def _transposed_step_intervals(original):
     def flipped(sources, upper, lower):
-        keys, mults = original(sources, upper, lower)
-        return tuple((j_prime, j, k) for j, j_prime, k in keys), mults
+        return tuple((j_prime, j, lo, hi, mult)
+                     for j, j_prime, lo, hi, mult in original(sources, upper, lower))
     return flipped
 
 
@@ -131,9 +131,9 @@ def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch, run, lhs, rhs):
     agree exactly when its values do.  The fault-free run first caches the
     n=2, D=4 graph, so the fault shows only if the reset drops that graph."""
     assert run(2, 4, trials=1, seed=5)["verdict"] == "pass"
-    original = characters.step_counts
+    original = characters.step_intervals
     localization.clear_caches()
-    monkeypatch.setattr(characters, "step_counts", _transposed_step_counts(original))
+    monkeypatch.setattr(characters, "step_intervals", _transposed_step_intervals(original))
     try:
         report = run(2, 4, trials=1, seed=5)
         assert report["verdict"] == "fail"
