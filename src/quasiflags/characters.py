@@ -13,8 +13,9 @@ a_j - a_{j'} + k x (pair_counts), frozen for the localization kernel into a
 WeightTable; Character and TorusWeight are built from it only for the
 public API.  The blocks of flag step i depend only on the rows d'_i, d_i
 and d_{i+1} (step_intervals, as signed runs of k), so one walk, pair_count_rows,
-builds every pair map: it sums one cached count map per step (step_counts) once
-per distinct prefix d'_1, ..., d'_i of fixed points.  pair_counts is its two-point case.
+builds every pair map: it expands each step it meets once (expand_runs) and
+sums it once per distinct prefix d'_1, ..., d'_i of its columns.  pair_counts
+is its one-pair case.
 """
 
 from functools import lru_cache
@@ -108,12 +109,6 @@ def geom_block(count: int) -> Character:
     return Character({TorusWeight((), -k): -1 for k in range(0, -count)})
 
 
-@lru_cache(maxsize=8192)  # 66 keys in properties n=4 D=5; verify-main makes none
-def _key(a: int, b: int, k: int) -> tuple[int, int, int]:
-    """One shared (j, j', k) tuple per key, so cached blocks hold references."""
-    return (a, b, k)
-
-
 def step_intervals(sources: tuple[int, ...], upper: tuple[int, ...], lower: tuple[int, ...]):
     """Flag step i, from sources = d'_i, upper = d_i and lower = d_{i+1}, as
     nonempty signed runs (j, j', lo, hi, mult), disjoint per (j, j'): each
@@ -139,53 +134,53 @@ def step_intervals(sources: tuple[int, ...], upper: tuple[int, ...], lower: tupl
 
 
 def expand_runs(runs) -> WeightTable:
-    """Signed runs (see step_intervals) as a WeightTable, one key per k."""
-    return (tuple(_key(j, j_prime, k) for j, j_prime, lo, hi, _ in runs
+    """Signed runs (see step_intervals) as a WeightTable, one key per k: the
+    only expansion of a step into keys."""
+    return (tuple((j, j_prime, k) for j, j_prime, lo, hi, _ in runs
                   for k in range(lo + 1, hi + 1)),
             tuple(mult for _, _, lo, hi, mult in runs for _ in range(hi - lo)))
-
-
-@lru_cache(maxsize=4096)  # 1,168 keys in properties n=4 D=5; verify-main fetches none
-def step_counts(sources, upper, lower) -> WeightTable:
-    """Count map of flag step i: step_intervals expanded, no zeros."""
-    return expand_runs(step_intervals(sources, upper, lower))
 
 
 def pair_counts(d: Tableau, d_prime: Tableau, n: int) -> dict[tuple[int, int, int], int]:
     """Character of the framed-homomorphism bundle over the fixed pair (d, d')
     as a fresh count map (j, j', k) -> multiplicity of a_j - a_{j'} + k x, with
     0-indexed j, j', x-only weights keyed (0, 0, k) and no zero multiplicity:
-    the two-point case of the walk pair_count_rows, i.e. the sum over steps i
-    of step_counts(d'_i, d_i, d_{i+1}), with d_n = 0.
+    the one-pair case of the walk pair_count_rows, i.e. the sum over steps i
+    of expand_runs(step_intervals(d'_i, d_i, d_{i+1})), with d_n = 0.
     """
-    counts = next(pair_count_rows((d, d_prime), n))[1]
+    counts = next(pair_count_rows((d,), (d_prime,), n))[0]
     return {key: mult for key, mult in counts.items() if mult}
 
 
-def pair_count_rows(tableaux, n: int):
+def pair_count_rows(tableaux, columns, n: int):
     """For each d in tableaux, in order, the count maps (see pair_counts) of
-    (d, d') for every d' in tableaux, in order; a map may keep a key that
+    (d, d') for every d' in columns, in order; a map may keep a key that
     cancelled to 0, and equal d' share one map.  The distinct row prefixes of
-    the d' are laid out once, one layer per flag step, as (parent index, row);
-    for each d a prefix's map is a copy of its parent's plus one step_counts,
-    so a step is summed once per prefix, not once per pair."""
-    if any(t.n != n for t in tableaux):
+    the columns are laid out once, one layer per flag step, as (parent index,
+    row); for each d a prefix's map is a copy of its parent's plus one step,
+    so a step is summed once per prefix, not once per pair, and expanded once
+    per call."""
+    if any(t.n != n for t in (*tableaux, *columns)):
         raise ValueError("tableaux must match the ambient rank n")
     layers: list[dict[tuple[int, tuple[int, ...]], int]] = [{} for _ in range(n - 1)]
     leaves = []
-    for t in tableaux:
+    for t in columns:
         parent = 0
         for layer, row in zip(layers, t.rows):
             parent = layer.setdefault((parent, row), len(layer))
         leaves.append(parent)
-    zero = (0,) * n
+    zero, steps = (0,) * n, {}
     for d in tableaux:
         rows, maps = d.rows + (zero,), [{}]
         for i, layer in enumerate(layers):
             grown = []
             for parent, sources in layer:
+                step = (sources, rows[i], rows[i + 1])
+                pairs = steps.get(step)
+                if pairs is None:
+                    pairs = steps[step] = tuple(zip(*expand_runs(step_intervals(*step))))
                 acc = maps[parent].copy()
-                for key, mult in zip(*step_counts(sources, rows[i], rows[i + 1])):
+                for key, mult in pairs:
                     acc[key] = acc.get(key, 0) + mult
                 grown.append(acc)
             maps = grown

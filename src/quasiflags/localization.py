@@ -293,7 +293,6 @@ def volume_coefficients(n: int, max_degree: int, pt: ParameterPoint) -> list[Fra
 
 
 def clear_caches():
-    """Reset the step and tangent tables and the graphs that hold them, together."""
-    characters.step_counts.cache_clear()
+    """Reset the tangent tables and the row-transfer graphs, together."""
     tangent_table.cache_clear()
     _transfer_table.cache_clear()

@@ -113,14 +113,13 @@ def series_mul(a: Series, b: Series, degree: int) -> Series:
 
 class RootLattice(NamedTuple):
     """The degree vectors of sl_n through total degree `degree`, in (total,
-    lex) order, with their integer weight coordinates, the positive roots
-    (simple roots first) and, for each root alpha, the predecessor array
-    prev[i]: the index of vectors[i] - alpha, or -1 outside the cone."""
+    lex) order, with their integer weight coordinates and, for each positive
+    root alpha by height (simple roots first), the predecessor array prev[i]:
+    the index of vectors[i] - alpha, or -1 outside the cone."""
 
     degree: int
     vectors: tuple[DegreeVector, ...]
     embeddings: tuple[tuple[int, ...], ...]
-    supports: tuple[DegreeVector, ...]
     prev: tuple[tuple[int, ...], ...]
 
 
@@ -136,9 +135,6 @@ def root_lattice(n: int, degree: int) -> RootLattice:
     index = {g: i for i, g in enumerate(vectors)}
     # coefficient of e_k in -sum d_i (e_i - e_{i+1}) is d_{k-1} - d_k
     embeddings = tuple(tuple(p - q for p, q in zip((0,) + g, g + (0,))) for g in vectors)
-    # positive roots alpha_i + ... + alpha_{i+h-1} by height h: simple roots first
-    supports = tuple(tuple(1 if i <= k < i + h else 0 for k in range(1, n))
-                     for h in range(1, n) for i in range(1, n - h + 1))
     simple = [tuple(index[g[:k] + (g[k] - 1,) + g[k + 1:]] if g[k] else -1 for g in vectors)
               for k in range(n - 1)]
     prev, below = list(simple), simple
@@ -146,7 +142,7 @@ def root_lattice(n: int, degree: int) -> RootLattice:
         below = [tuple(last[q] if q >= 0 else -1 for q in chain)
                  for chain, last in zip(below, simple[h - 1:])]
         prev += below
-    return RootLattice(degree, vectors, embeddings, supports, tuple(prev))
+    return RootLattice(degree, vectors, embeddings, tuple(prev))
 
 
 def weyl_fold(lattice: RootLattice, num: list[int], den: list[int], m) -> list[Fraction]:

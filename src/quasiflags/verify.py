@@ -225,9 +225,9 @@ def _character_record(n, max_degree) -> dict:
     witnesses = []
     pairs = 0
     for nn in range(2, n + 1):
-        tabs = [(t, sum(t.degree())) for g in degree_vectors(nn - 1, bound)
-                for t in enumerate_fixed_points(nn, g)]
-        for (d, size), row in zip(tabs, pair_count_rows([t for t, _ in tabs], nn)):
+        points = [t for g in degree_vectors(nn - 1, bound) for t in enumerate_fixed_points(nn, g)]
+        tabs = [(t, sum(t.degree())) for t in points]
+        for (d, size), row in zip(tabs, pair_count_rows(points, points, nn)):
             for (dp, size_p), counts in zip(tabs, row):
                 pairs += 1
                 total = sum(counts.values())

@@ -3,6 +3,16 @@ import pkgutil
 
 import quasiflags
 
+# every module-level cache of the package, by function, with its bound
+BOUNDS = {
+    ("quasiflags.characters", "tangent_table"): 8192,
+    ("quasiflags.hall", "_all_subspaces"): 16,
+    ("quasiflags.localization", "_transfer_table"): 16,
+    ("quasiflags.roots", "_kostant_cached"): 1024,
+    ("quasiflags.series", "root_lattice"): 32,
+    ("quasiflags.tableaux", "_fixed_points"): 4096,
+}
+
 
 def test_every_cache_is_bounded():
     cached = {}
@@ -10,10 +20,7 @@ def test_every_cache_is_bounded():
         if info.name == "__main__":
             continue
         module = importlib.import_module(f"quasiflags.{info.name}")
-        for name, value in vars(module).items():
+        for value in vars(module).values():
             if hasattr(value, "cache_info"):
-                cached[f"{info.name}.{name}"] = value.cache_info().maxsize
-    assert {"characters.step_counts", "characters.tangent_table", "tableaux._fixed_points",
-            "roots._kostant_cached", "hall._all_subspaces",
-            "localization._transfer_table"} <= set(cached)
-    assert all(size is not None for size in cached.values()), cached
+                cached[(value.__module__, value.__qualname__)] = value.cache_info().maxsize
+    assert cached == BOUNDS

@@ -226,14 +226,22 @@ def test_step_block_pair_counts_match_direct_loop(case):
 
 def test_pair_count_rows_match_the_direct_loop_on_every_pair():
     """The shared-prefix walk, its cancelled keys dropped, is the direct block
-    loop on every ordered pair with row sums <= 5."""
+    loop on every ordered pair with row sums <= 5, and on rows that are not
+    its columns: row sums <= 3 against every row sum <= 5, reversed."""
+    cases = []
     for n in (2, 3, 4):
         tabs = [t for g in degree_vectors(n - 1, 5) for t in enumerate_fixed_points(n, g)]
-        rows = list(pair_count_rows(tabs, n))
-        assert len(rows) == len(tabs)
-        for d, row in zip(tabs, rows):
-            assert len(row) == len(tabs)
-            for dp, counts in zip(tabs, row):
+        cases.append((tabs, tabs, n))
+    n = 3
+    rows = [t for g in degree_vectors(n - 1, 3) for t in enumerate_fixed_points(n, g)]
+    columns = [t for g in degree_vectors(n - 1, 5) for t in enumerate_fixed_points(n, g)][::-1]
+    cases.append((rows, columns, n))
+    for tableaux, columns, n in cases:
+        maps = list(pair_count_rows(tableaux, columns, n))
+        assert len(maps) == len(tableaux)
+        for d, row in zip(tableaux, maps):
+            assert len(row) == len(columns)
+            for dp, counts in zip(columns, row):
                 assert {k: m for k, m in counts.items() if m} == direct_pair_counts(d, dp, n)
 
 
@@ -269,7 +277,6 @@ def test_step_runs_expand_to_the_per_k_block_loop():
         keys, mults = characters.expand_runs(runs)
         assert len(set(keys)) == len(keys)
         assert dict(zip(keys, mults)) == reference_step_counts(*step)
-        assert characters.step_counts(*step) == (keys, mults)
 
 
 def test_pair_counts_reads_the_prefix_walk(monkeypatch):
@@ -277,19 +284,38 @@ def test_pair_counts_reads_the_prefix_walk(monkeypatch):
     calls = []
     original = characters.pair_count_rows
 
-    def recorder(tableaux, n):
-        calls.append(tuple(tableaux))
-        return original(tableaux, n)
+    def recorder(tableaux, columns, n):
+        calls.append((tuple(tableaux), tuple(columns)))
+        return original(tableaux, columns, n)
 
     monkeypatch.setattr(characters, "pair_count_rows", recorder)
     d, d_prime = Tableau([(2,), (0, 1)]), Tableau([(1,), (1, 0)])
     assert pair_counts(d, d_prime, 3) == direct_pair_counts(d, d_prime, 3)
-    assert calls == [(d, d_prime)]
+    assert calls == [((d,), (d_prime,))]
+
+
+def test_pair_counts_expands_each_step_once(monkeypatch):
+    """pair_counts walks its own pair only: one step_intervals call per flag
+    step, three at n = 4."""
+    calls = []
+    original = characters.step_intervals
+
+    def recorder(*step):
+        calls.append(step)
+        return original(*step)
+
+    monkeypatch.setattr(characters, "step_intervals", recorder)
+    d = Tableau([(2,), (1, 1), (0, 1, 1)])
+    d_prime = Tableau([(1,), (1, 1), (1, 0, 0)])
+    assert pair_counts(d, d_prime, 4) == direct_pair_counts(d, d_prime, 4)
+    assert len(calls) == len(set(calls)) == 3
 
 
 def test_pair_count_rows_rejects_a_foreign_rank():
     with pytest.raises(ValueError):
-        next(pair_count_rows([Tableau.zero(3)], 2))
+        next(pair_count_rows([Tableau.zero(3)], [Tableau.zero(2)], 2))
+    with pytest.raises(ValueError):
+        next(pair_count_rows([Tableau.zero(2)], [Tableau.zero(3)], 2))
 
 
 # -- differential test of the integer count map ------------------------------

@@ -371,7 +371,7 @@ def test_transfer_table_checks_every_flag_step(monkeypatch, fault, message):
 
 def test_row_transfer_fetches_no_step_table_once_the_graph_is_built(monkeypatch):
     """The graph holds the step runs it checked: a further Chern or volume
-    pass over it asks characters.step_intervals and step_counts for nothing."""
+    pass over it asks characters.step_intervals and expand_runs for nothing."""
     n, max_degree, pt = 3, 4, _point((7, 2, -9), Fraction(3, 2))
     expected = chern_series_coefficients(n, max_degree, pt), volume_coefficients(n, max_degree, pt)
     calls = []
@@ -382,7 +382,7 @@ def test_row_transfer_fetches_no_step_table_once_the_graph_is_built(monkeypatch)
             return original(*rows)
         return call
 
-    for name in ("step_intervals", "step_counts"):
+    for name in ("step_intervals", "expand_runs"):
         monkeypatch.setattr(characters, name, counted(getattr(characters, name)))
     again = chern_series_coefficients(n, max_degree, pt), volume_coefficients(n, max_degree, pt)
     assert calls == [] and again == expected
@@ -400,7 +400,6 @@ def test_row_transfer_evaluates_no_weight_per_key(monkeypatch):
         raise AssertionError("per-key path called")
 
     monkeypatch.setattr(localization, "_products", forbidden)
-    monkeypatch.setattr(characters, "step_counts", forbidden)
     monkeypatch.setattr(characters, "expand_runs", forbidden)
     try:
         again = chern_series_coefficients(n, max_degree, pt), volume_coefficients(n, max_degree, pt)

@@ -110,3 +110,17 @@ def test_cached_enumeration_is_fresh_and_uncorrupted(case):
     second = enumerate_fixed_points(n, list(gamma))
     assert second == uncached
     assert second is not first
+
+
+def test_fixed_point_cache_holds_every_degree_of_a_wide_rank_sweep():
+    """Every |gamma| <= 1 degree at ranks 2..46 (1,080 keys, which properties
+    at n = 46 D = 1 enumerates) stays cached: a second pass is all hits."""
+    degrees = [(n, g) for n in range(2, 47) for g in degree_vectors(n - 1, 1)]
+    assert len(degrees) == 1080
+    tableaux._fixed_points.cache_clear()
+    for _ in range(2):
+        before = tableaux._fixed_points.cache_info()
+        for n, gamma in degrees:
+            enumerate_fixed_points(n, gamma)
+    after = tableaux._fixed_points.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1080, 0)

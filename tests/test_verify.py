@@ -325,9 +325,9 @@ def inject_into_zero_pair(monkeypatch, entries):
     """Make the character record see `entries` in the zero pair's count map."""
     original = verify.pair_count_rows
 
-    def injected(tableaux, n):
+    def injected(tableaux, columns, n):
         zero = tableaux.index(Tableau.zero(n))
-        for i, row in enumerate(original(tableaux, n)):
+        for i, row in enumerate(original(tableaux, columns, n)):
             if i == zero:
                 row[zero] = {**row[zero], **entries}
             yield row
