@@ -11,11 +11,23 @@ only first neighbours along simple roots with the coupling replaced by 2/x^2.
 Coefficients are stored on degree vectors: the highest-term exponential is
 factored out by reindexing lam = lam0 + gamma, never carried symbolically.
 
+The product b = c prod_{alpha > 0} (1 - e^{-alpha})^{-k}, k = m + 1, which is
+the analytic side of the Chern-series identity, has a recursion of its own:
+conjugating the CS operator by its ground state delta^k (delta the Weyl
+denominator) gives the Heckman-Opdam hypergeometric operator (Heckman and
+Opdam, Root systems and hypergeometric functions I, Compositio Math. 64,
+1987), and expanding its coth(alpha/2) gives
+
+    b_lam ((lam, lam) - s) = -2k sum_{alpha > 0} sum_{j >= 1} ((alpha, lam + j alpha) - k ht alpha) b_{lam + j alpha}
+
+with b_{lam0} = 1.  The CS recursion times series.weyl_fold is its oracle.
+
 All walks run on the cached series.root_lattice of (n, D).  Each gap
 (lam, lam) - s is an integer over the lcm of the denominators of lam0, so
-resonance is decided once, before the recursion starts.  The CS recursion and
-the operator check share one walk of per-root prefix chain sums (_chain_sums),
-on int numerator and denominator lists with one Fraction per coefficient.
+resonance is decided once, before the recursion starts.  The recursions keep
+int numerator and denominator lists, with one Fraction per coefficient, and
+walk the lattice's in-cone root steps; the CS recursion and the operator
+check share one walk of per-step prefix chain sums (_chain_sums).
 """
 
 from fractions import Fraction
@@ -25,7 +37,7 @@ from typing import NamedTuple
 from .errors import ResonantParameter
 from .roots import WeightVec, check_zero_sum, inner
 from .series import (RootLattice, Series, check_degree_vector, root_lattice,
-                     total_degree, weyl_fold)
+                     total_degree)
 
 
 class EigenSeries(NamedTuple):
@@ -48,28 +60,27 @@ class EigenSeries(NamedTuple):
 def _chain_sums(lattice: RootLattice, cn: list, cd: list):
     """Yield, for i = 1, 2, ..., the sum over positive roots alpha and j >= 1
     of j c[gamma - j alpha], c = cn / cd and gamma the i-th degree vector, as
-    an unreduced int pair, from two prefix arrays per root of reduced int
-    pairs: S[i] = c[p] + S[p] and T[i] = S[i] + T[p], p = prev[i].
-    c is read lazily, so the consumer may set c[i] before the next sum."""
-    size = len(lattice.vectors)
-    roots = [(prev, [0] * size, [1] * size, [0] * size, [1] * size) for prev in lattice.prev]
-    for i in range(1, size):
+    an unreduced int pair, from two prefix sums per in-cone step, each a
+    reduced int pair: S[s] = c[p] + S[q] and T[s] = S[s] + T[q], p the step's
+    source and q the step below it.  c is read lazily, so the consumer may
+    set c[i] before the next sum."""
+    start, source, below = lattice.steps[:3]
+    sn, sd, tn, td = ([0] * start[-1] for _ in range(4))
+    for i in range(1, len(lattice.vectors)):
         num, den = 0, 1
-        for prev, sn, sd, tn, td in roots:
-            p = prev[i]
-            if p < 0:
-                continue
-            if prev[p] < 0:  # the chain has one term
-                sn[i] = tn[i] = cn[p]
-                sd[i] = td[i] = cd[p]
+        for s in range(start[i], start[i + 1]):
+            p, q = source[s], below[s]
+            if q < 0:  # the chain has one term
+                a, b = c, d = cn[p], cd[p]
             else:
-                a, b = cn[p] * sd[p] + sn[p] * cd[p], cd[p] * sd[p]
+                a, b = cn[p] * sd[q] + sn[q] * cd[p], cd[p] * sd[q]
                 g = gcd(a, b)
-                sn[i], sd[i] = a // g, b // g
-                a, b = sn[i] * td[p] + tn[p] * sd[i], sd[i] * td[p]
-                g = gcd(a, b)
-                tn[i], td[i] = a // g, b // g
-            num, den = num * td[i] + tn[i] * den, den * td[i]
+                a, b = a // g, b // g
+                c, d = a * td[q] + tn[q] * b, b * td[q]
+                g = gcd(c, d)
+                c, d = c // g, d // g
+            sn[s], sd[s], tn[s], td[s] = a, b, c, d
+            num, den = num * d + c * den, den * d
         yield num, den
 
 
@@ -162,11 +173,35 @@ def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeri
 
 def cs_product_coefficients(checked, m) -> list[Fraction]:
     """The eigenfunction side of the Chern-series identity on a
-    check_nonresonant result, in degree_vectors order: the CS tail times the
-    (m+1)-st inverse power of the Weyl-denominator product over positive
-    roots, folded into the recursion's int lists (series.weyl_fold)."""
-    m = Fraction(m)
-    return weyl_fold(checked[1], *_eigen_recursion(checked, 2 * m * (m + 1), _chain_sums), m)
+    check_nonresonant result, in degree_vectors order: the CS tail times
+    prod_{alpha > 0} (1 - e^{-alpha})^{-k}, k = m + 1 = top / bottom, from the
+    conjugated recursion on int pairs.  The step from lam to lam + alpha
+    weighs w / (L bottom) = (alpha, lam) - k ht alpha and keeps the prefix
+    P[s] = w b[source] + P[below] of its root's chain, reduced by one gcd
+    where there is a step below."""
+    lam0, lattice, scale, gaps = checked
+    start, source, below, root, pairing = lattice.steps
+    k = Fraction(m) + 1
+    n, top, bottom = len(lam0), k.numerator, k.denominator
+    u = [l.numerator * (scale // l.denominator) for l in lam0]
+    base = [bottom * (u[a] - u[a + h]) - scale * top * h for h in range(1, n) for a in range(n - h)]
+    shift, bn, bd = scale * bottom, [1] * len(gaps), [1] * len(gaps)
+    pn, pd = [0] * start[-1], [0] * start[-1]
+    for i in range(1, len(gaps)):
+        num, den = 0, 1
+        for s in range(start[i], start[i + 1]):
+            p, q = source[s], below[s]
+            x, y = (base[root[s]] + shift * pairing[s]) * bn[p], bd[p]
+            if q >= 0:
+                x, y = x * pd[q] + pn[q] * y, y * pd[q]
+                g = gcd(x, y)
+                x, y = x // g, y // g
+            pn[s], pd[s] = x, y
+            num, den = num * y + x * den, den * y
+        num, den = -2 * top * num, bottom * bottom * gaps[i] * den
+        g = gcd(num, den)
+        bn[i], bd[i] = num // g, den // g
+    return list(map(Fraction, bn, bd))
 
 
 def cs_product_series(n: int, a_over_x, m, degree: int) -> Series:

@@ -12,7 +12,7 @@ operation in the package is triangular.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import lcm
 from typing import Iterator, NamedTuple
 
@@ -115,12 +115,19 @@ class RootLattice(NamedTuple):
     """The degree vectors of sl_n through total degree `degree`, in (total,
     lex) order, with their integer weight coordinates and, for each positive
     root alpha by height (simple roots first), the predecessor array prev[i]:
-    the index of vectors[i] - alpha, or -1 outside the cone."""
+    the index of vectors[i] - alpha, or -1 outside the cone.
+
+    steps = (start, source, below, root, pairing) numbers the in-cone steps
+    vector by vector, in root order: step s, start[i] <= s < start[i+1], goes
+    up to vectors[i] from vectors[source[s]] along the root of index root[s];
+    below[s] is the step into source[s] along the same root, or -1, and
+    pairing[s] = (alpha, embeddings[source[s]])."""
 
     degree: int
     vectors: tuple[DegreeVector, ...]
     embeddings: tuple[tuple[int, ...], ...]
     prev: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=32)  # one key per (n, D) in use; a run touches a handful
@@ -137,12 +144,24 @@ def root_lattice(n: int, degree: int) -> RootLattice:
     embeddings = tuple(tuple(p - q for p, q in zip((0,) + g, g + (0,))) for g in vectors)
     simple = [tuple(index[g[:k] + (g[k] - 1,) + g[k + 1:]] if g[k] else -1 for g in vectors)
               for k in range(n - 1)]
-    prev, below = list(simple), simple
+    prev, shorter = list(simple), simple
     for h in range(2, n):
-        below = [tuple(last[q] if q >= 0 else -1 for q in chain)
-                 for chain, last in zip(below, simple[h - 1:])]
-        prev += below
-    return RootLattice(degree, vectors, embeddings, tuple(prev))
+        shorter = [tuple(last[q] if q >= 0 else -1 for q in chain)
+                   for chain, last in zip(shorter, simple[h - 1:])]
+        prev += shorter
+    # the steps, filled one root alpha = e_a - e_b at a time into each vector's block
+    start = (0, *accumulate(len(col) - col.count(-1) for col in zip(*prev)))
+    fill, steps = list(start), [[0] * start[-1] for _ in range(4)]
+    source, below, root, pairing = steps
+    ends = [(a, a + h) for h in range(1, n) for a in range(n - h)]
+    for r, (chain, (a, b)) in enumerate(zip(prev, ends)):
+        at = [-1] * len(vectors)  # the step into each vector along alpha
+        for i in [i for i, p in enumerate(chain) if p >= 0]:
+            at[i] = s = fill[i]
+            fill[i] = s + 1
+            p = source[s] = chain[i]
+            below[s], root[s], pairing[s] = at[p], r, embeddings[p][a] - embeddings[p][b]
+    return RootLattice(degree, vectors, embeddings, tuple(prev), (start, *map(tuple, steps)))
 
 
 def weyl_fold(lattice: RootLattice, num: list[int], den: list[int], m) -> list[Fraction]:

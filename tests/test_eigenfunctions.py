@@ -6,14 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from quasiflags import eigenfunctions
 from quasiflags.eigenfunctions import (EigenSeries, apply_cs_operator, check_nonresonant,
-                                       cs_coefficients, cs_product_series,
+                                       cs_coefficients, cs_product_coefficients,
+                                       cs_product_series,
                                        toda_coefficients, toda_limit_ratios,
                                        toda_tail_coefficients)
 from quasiflags.errors import ResonantParameter
 from quasiflags.localization import ParameterPoint, volume_coefficient
 from quasiflags.roots import embed_degree, inner, kostant_count
 from quasiflags.scalars import generalized_binomial
-from quasiflags.series import Series, degree_vectors, denominator_power_series
+from quasiflags.series import Series, degree_vectors, denominator_power_series, weyl_fold
 
 
 A2 = (Fraction(7, 3), Fraction(-7, 3))          # v = 14/3
@@ -138,6 +139,8 @@ def test_resonance_at_top_degree_is_decided_before_the_recursion(monkeypatch):
     assert toda_coefficients(2, a, 1).coefficient((1,)) == -1
     walks = []
     monkeypatch.setattr(eigenfunctions, "_chain_sums", lambda *args: walks.append(args))
+    monkeypatch.setattr(eigenfunctions, "cs_product_coefficients",
+                        lambda *args: walks.append(args))
     message = "(lam, lam) = s at gamma=(2,); highest weight is not generic"
     for compute in (lambda: cs_coefficients(2, a, m, 2),
                     lambda: cs_product_series(2, a, m, 3),
@@ -366,3 +369,37 @@ def test_operator_matches_per_chain_reference(case):
                                   if rng.random() < 0.7})
     series = EigenSeries(a, tail, inner(a, a))
     assert apply_cs_operator(series, m, degree) == reference_cs_operator(series, m, degree)
+
+
+def tail_and_fold(checked, m):
+    """The product as the CS tail times the Weyl-denominator power
+    (series.weyl_fold): the oracle of the conjugated recursion."""
+    walk = eigenfunctions._eigen_recursion(checked, 2 * m * (m + 1), eigenfunctions._chain_sums)
+    return weyl_fold(checked[1], *walk, m)
+
+
+@pytest.mark.parametrize("n, degree", [(8, 5), (3, 24), (4, 10)])
+def test_conjugated_recursion_matches_tail_and_fold(n, degree):
+    rng = random.Random(f"{n},{degree}")
+    points = 0
+    while points < 3:
+        q = rng.randint(1, 4)
+        numerators = [rng.randint(-40, 40) for _ in range(n)]
+        a = tuple(Fraction(n * p - sum(numerators), n * q) for p in numerators)
+        m = Fraction(rng.choice([-1, 1]) * rng.randint(1, 19), rng.randint(1, 5))
+        try:
+            checked = check_nonresonant(n, a, degree)
+        except ResonantParameter:
+            continue
+        assert cs_product_coefficients(checked, m) == tail_and_fold(checked, m)
+        points += 1
+
+
+@pytest.mark.parametrize("m", [Fraction(0), Fraction(-1), Fraction(-3), Fraction(5, 2)])
+@pytest.mark.parametrize("n, a, degree", [(3, NEG3, 5), (4, NEG4, 4)])
+def test_conjugated_recursion_at_negative_gaps(n, a, degree, m):
+    checked = check_nonresonant(n, a, degree)
+    product = cs_product_coefficients(checked, m)
+    assert product == tail_and_fold(checked, m)
+    if m == -1:  # k = m + 1 = 0 kills every step weight
+        assert product == [1] + [0] * (len(product) - 1)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasiflags.roots import embed_degree
 from quasiflags.scalars import generalized_binomial
 from quasiflags.series import (Series, degree_vectors, denominator_power_series,
                                root_lattice, series_mul, total_degree)
@@ -156,3 +157,30 @@ def test_composed_root_predecessors_match_direct_subtraction():
                                  for g in lattice.vectors)
                            for sup in supports)
             assert lattice.prev == direct
+
+
+def test_root_steps_match_direct_subtraction():
+    sizes = [(n, degree) for n in range(2, 7) for degree in range(5)] + [(8, 5), (3, 24)]
+    for n, degree in sizes:
+        lattice = root_lattice(n, degree)
+        start, source, below, root, pairing = lattice.steps
+        index = {g: i for i, g in enumerate(lattice.vectors)}
+        # positive roots e_a - e_{a+h} = alpha_{a+1} + ... + alpha_{a+h} by height h
+        roots = [(a, a + h) for h in range(1, n) for a in range(n - h)]
+        supports = [tuple(1 if a <= k < b else 0 for k in range(n - 1)) for a, b in roots]
+        assert start[0] == 0 and start[-1] == len(source)
+        for i, g in enumerate(lattice.vectors):
+            direct = [(r, index[t]) for r, sup in enumerate(supports)
+                      if (t := tuple(d - e for d, e in zip(g, sup))) in index]
+            steps = range(start[i], start[i + 1])
+            assert [(root[s], source[s]) for s in steps] == direct
+            for s in steps:
+                a, b = roots[root[s]]
+                lam = embed_degree(lattice.vectors[source[s]], n)
+                assert pairing[s] == lam[a] - lam[b]
+                t = tuple(d - e for d, e in zip(lattice.vectors[source[s]], supports[root[s]]))
+                if below[s] < 0:
+                    assert t not in index
+                else:
+                    assert start[source[s]] <= below[s] < start[source[s] + 1]
+                    assert (root[below[s]], source[below[s]]) == (root[s], index[t])
