@@ -1,11 +1,14 @@
 """Eigenfunction series by coefficient recursion.
 
 The highest-weight eigenfunction of the trigonometric many-body operator with
-coupling m is determined degree by degree: the coefficient at lam picks up
+coupling m is determined degree by degree: the coefficient at lam is
 2m(m+1) sum_alpha sum_j j c_{lam + j alpha} divided by (lam,lam) - s.  The
-degenerate operator (only simple roots, coupling 2/x^2) gives the Toda
-series.  Applying the operator termwise and comparing with s times the series
-is an independent check that the recursion was solved correctly.
+package solves the recursion of the operator conjugated by its ground state,
+for the eigenfunction times the (m+1)-st inverse power of the Weyl
+denominator, and folds that power back out.  The degenerate operator (only
+simple roots, coupling 2/x^2) gives the Toda series.  Applying the operator
+termwise and comparing with s times the series is an independent check that
+the recursion and the fold were solved correctly.
 """
 
 from fractions import Fraction

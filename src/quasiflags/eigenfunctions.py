@@ -11,23 +11,23 @@ only first neighbours along simple roots with the coupling replaced by 2/x^2.
 Coefficients are stored on degree vectors: the highest-term exponential is
 factored out by reindexing lam = lam0 + gamma, never carried symbolically.
 
-The product b = c prod_{alpha > 0} (1 - e^{-alpha})^{-k}, k = m + 1, which is
-the analytic side of the Chern-series identity, has a recursion of its own:
-conjugating the CS operator by its ground state delta^k (delta the Weyl
-denominator) gives the Heckman-Opdam hypergeometric operator (Heckman and
+The CS tail is computed through the product b = c prod_{alpha > 0}
+(1 - e^{-alpha})^{-k}, k = m + 1, the analytic side of the Chern-series
+identity.  Conjugating the CS operator by its ground state delta^k (delta the
+Weyl denominator) gives the Heckman-Opdam hypergeometric operator (Heckman and
 Opdam, Root systems and hypergeometric functions I, Compositio Math. 64,
 1987), and expanding its coth(alpha/2) gives
 
     b_lam ((lam, lam) - s) = -2k sum_{alpha > 0} sum_{j >= 1} ((alpha, lam + j alpha) - k ht alpha) b_{lam + j alpha}
 
-with b_{lam0} = 1.  The CS recursion times series.weyl_fold is its oracle.
+with b_{lam0} = 1; series.weyl_fold folds b back to c.  apply_cs_operator
+applies the CS operator itself, sharing no code with that recursion, so its
+image of c against s c checks the recursion and the fold together.
 
 All walks run on the cached series.root_lattice of (n, D).  Each gap
 (lam, lam) - s is an integer over the lcm of the denominators of lam0, so
-resonance is decided once, before the recursion starts.  The recursions keep
-int numerator and denominator lists, with one Fraction per coefficient, and
-walk the lattice's in-cone root steps; the CS recursion and the operator
-check share one walk of per-step prefix chain sums (_chain_sums).
+resonance is decided once, before any recursion starts.  The recursions keep
+int numerator and denominator lists, with one Fraction per coefficient.
 """
 
 from fractions import Fraction
@@ -37,7 +37,7 @@ from typing import NamedTuple
 from .errors import ResonantParameter
 from .roots import WeightVec, check_zero_sum, inner
 from .series import (RootLattice, Series, check_degree_vector, root_lattice,
-                     total_degree)
+                     total_degree, weyl_fold)
 
 
 class EigenSeries(NamedTuple):
@@ -55,33 +55,6 @@ class EigenSeries(NamedTuple):
 
     def coefficient(self, gamma) -> Fraction:
         return self.tail.coefficient(gamma)
-
-
-def _chain_sums(lattice: RootLattice, cn: list, cd: list):
-    """Yield, for i = 1, 2, ..., the sum over positive roots alpha and j >= 1
-    of j c[gamma - j alpha], c = cn / cd and gamma the i-th degree vector, as
-    an unreduced int pair, from two prefix sums per in-cone step, each a
-    reduced int pair: S[s] = c[p] + S[q] and T[s] = S[s] + T[q], p the step's
-    source and q the step below it.  c is read lazily, so the consumer may
-    set c[i] before the next sum."""
-    start, source, below = lattice.steps[:3]
-    sn, sd, tn, td = ([0] * start[-1] for _ in range(4))
-    for i in range(1, len(lattice.vectors)):
-        num, den = 0, 1
-        for s in range(start[i], start[i + 1]):
-            p, q = source[s], below[s]
-            if q < 0:  # the chain has one term
-                a, b = c, d = cn[p], cd[p]
-            else:
-                a, b = cn[p] * sd[q] + sn[q] * cd[p], cd[p] * sd[q]
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                c, d = a * td[q] + tn[q] * b, b * td[q]
-                g = gcd(c, d)
-                c, d = c // g, d // g
-            sn[s], sd[s], tn[s], td[s] = a, b, c, d
-            num, den = num * d + c * den, den * d
-        yield num, den
 
 
 def _integer_gaps(lattice: RootLattice, lam0) -> tuple[int, list[int]]:
@@ -110,34 +83,6 @@ def check_nonresonant(n, a_over_x, degree) -> tuple[WeightVec, RootLattice, int,
     return lam0, lattice, scale, gaps
 
 
-def _eigen_recursion(checked, coupling, walk) -> tuple[list[int], list[int]]:
-    """Shared driver on a check_nonresonant result: fill the coefficient list
-    in (total, lex) order by c = coupling L walk / G on int pairs, each
-    reduced by one gcd, where walk(lattice, cn, cd) yields, for i = 1, 2, ...,
-    the right side at the i-th degree vector as an int pair from the
-    lower-degree cn / cd.  Returns the int lists (cn, cd); a denominator may
-    be negative, and the Fractions each caller builds normalise it."""
-    _, lattice, scale, gaps = checked
-    top, bottom = coupling.numerator * scale, coupling.denominator
-    cn, cd = [1] + [0] * (len(gaps) - 1), [1] * len(gaps)
-    for i, (num, den) in enumerate(walk(lattice, cn, cd), 1):
-        num, den = top * num, bottom * den * gaps[i]
-        g = gcd(num, den)
-        cn[i], cd[i] = num // g, den // g
-    return cn, cd
-
-
-def _first_neighbours(lattice: RootLattice, cn: list, cd: list):
-    """The Toda walk: c summed over first neighbours along simple roots."""
-    simple = lattice.prev[:len(lattice.vectors[0])]  # simple roots come first
-    for i in range(1, len(cn)):
-        num, den = 0, 1
-        for prev in simple:
-            if (p := prev[i]) >= 0:
-                num, den = num * cd[p] + cn[p] * den, den * cd[p]
-        yield num, den
-
-
 def _eigen_series(checked, c) -> EigenSeries:
     lam0, lattice = checked[:2]
     tail = Series(len(lam0) - 1, lattice.degree, dict(zip(lattice.vectors, c)))
@@ -146,21 +91,36 @@ def _eigen_series(checked, c) -> EigenSeries:
 
 def cs_coefficients(n: int, a_over_x, m, degree: int) -> EigenSeries:
     """Calogero-Sutherland eigenfunction tail with coupling m, through total
-    degree `degree`.  Raises ResonantParameter on a non-generic base point."""
+    degree `degree`: the product of the conjugated recursion times
+    prod_{alpha > 0} (1 - e^{-alpha})^{m+1}, which is series.weyl_fold at
+    -m - 2.  Raises ResonantParameter on a non-generic base point."""
     m = Fraction(m)
     checked = check_nonresonant(n, a_over_x, degree)
-    c = _eigen_recursion(checked, 2 * m * (m + 1), _chain_sums)
-    return _eigen_series(checked, map(Fraction, *c))
+    return _eigen_series(checked, weyl_fold(checked[1], *_product_pairs(checked, m), -m - 2))
 
 
 def toda_tail_coefficients(checked, x=Fraction(1)) -> list[Fraction]:
     """Toda eigenfunction tail on a check_nonresonant result, in
-    degree_vectors order: only simple roots contribute, with coupling 2/x^2
-    (2 in the default gauge x = 1)."""
+    degree_vectors order: c = coupling sum_i c_{lam + alpha_i} / ((lam, lam) - s)
+    over the simple roots, with coupling 2/x^2 (2 in the default gauge x = 1),
+    on int pairs, each reduced by one gcd."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
-    return list(map(Fraction, *_eigen_recursion(checked, 2 / (x * x), _first_neighbours)))
+    _, lattice, scale, gaps = checked
+    coupling = 2 / (x * x)
+    top, bottom = coupling.numerator * scale, coupling.denominator
+    simple = lattice.prev[:len(lattice.vectors[0])]  # simple roots come first
+    cn, cd = [1] * len(gaps), [1] * len(gaps)
+    for i in range(1, len(gaps)):
+        num, den = 0, 1
+        for prev in simple:
+            if (p := prev[i]) >= 0:
+                num, den = num * cd[p] + cn[p] * den, den * cd[p]
+        num, den = top * num, bottom * den * gaps[i]
+        g = gcd(num, den)
+        cn[i], cd[i] = num // g, den // g
+    return list(map(Fraction, cn, cd))
 
 
 def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeries:
@@ -171,14 +131,13 @@ def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeri
     return _eigen_series(checked, toda_tail_coefficients(checked, x))
 
 
-def cs_product_coefficients(checked, m) -> list[Fraction]:
-    """The eigenfunction side of the Chern-series identity on a
-    check_nonresonant result, in degree_vectors order: the CS tail times
-    prod_{alpha > 0} (1 - e^{-alpha})^{-k}, k = m + 1 = top / bottom, from the
-    conjugated recursion on int pairs.  The step from lam to lam + alpha
-    weighs w / (L bottom) = (alpha, lam) - k ht alpha and keeps the prefix
-    P[s] = w b[source] + P[below] of its root's chain, reduced by one gcd
-    where there is a step below."""
+def _product_pairs(checked, m) -> tuple[list[int], list[int]]:
+    """The conjugated recursion on a check_nonresonant result, as the
+    reduced int lists (bn, bd) of cs_product_coefficients (a denominator may
+    be negative).  With k = m + 1 = top / bottom, the step from lam to
+    lam + alpha weighs w / (L bottom) = (alpha, lam) - k ht alpha and keeps
+    the prefix P[s] = w b[source] + P[below] of its root's chain, reduced by
+    one gcd where there is a step below."""
     lam0, lattice, scale, gaps = checked
     start, source, below, root, pairing = lattice.steps
     k = Fraction(m) + 1
@@ -201,7 +160,14 @@ def cs_product_coefficients(checked, m) -> list[Fraction]:
         num, den = -2 * top * num, bottom * bottom * gaps[i] * den
         g = gcd(num, den)
         bn[i], bd[i] = num // g, den // g
-    return list(map(Fraction, bn, bd))
+    return bn, bd
+
+
+def cs_product_coefficients(checked, m) -> list[Fraction]:
+    """The eigenfunction side of the Chern-series identity on a
+    check_nonresonant result, in degree_vectors order: the CS tail times
+    prod_{alpha > 0} (1 - e^{-alpha})^{-m-1}, from the conjugated recursion."""
+    return list(map(Fraction, *_product_pairs(checked, m)))
 
 
 def cs_product_series(n: int, a_over_x, m, degree: int) -> Series:
@@ -218,7 +184,9 @@ def apply_cs_operator(series: EigenSeries, m, degree: int) -> Series:
     The Laplacian scales the gamma term by (lam0 + gamma, lam0 + gamma); the
     potential, expanded as sum_{j>=1} j e^{-j alpha} per positive root, pulls
     coefficients down from lower total degree, so the image is exact through
-    `degree`.
+    `degree`.  The sum T = sum_j j c_{gamma - j alpha} is run on Fractions down
+    each root's predecessor array, with S = sum_j c_{gamma - j alpha}:
+    S[i] = c[p] + S[p] and T[i] = S[i] + T[p], p = prev[i].
     """
     m = Fraction(m)
     coupling = 2 * m * (m + 1)
@@ -226,8 +194,14 @@ def apply_cs_operator(series: EigenSeries, m, degree: int) -> Series:
     scale, gaps = _integer_gaps(lattice, series.base)
     s = inner(series.base, series.base)
     c = [series.tail.coeffs.get(g, Fraction(0)) for g in lattice.vectors]
-    walk = _chain_sums(lattice, [x.numerator for x in c], [x.denominator for x in c])
-    sums = [0, *(Fraction(num, den) for num, den in walk)]
+    sums = [0] * len(c)
+    for prev in lattice.prev:
+        S, T = [0] * len(c), [0] * len(c)
+        for i, p in enumerate(prev):
+            if p >= 0:
+                S[i] = c[p] + S[p]
+                T[i] = S[i] + T[p]
+                sums[i] += T[i]
     out = {g: (s + Fraction(gap, scale)) * c[i] - coupling * sums[i]
            for i, (g, gap) in enumerate(zip(lattice.vectors, gaps))}
     return Series(series.rank, lattice.degree, out)

@@ -138,9 +138,7 @@ def test_resonance_at_top_degree_is_decided_before_the_recursion(monkeypatch):
     assert cs_coefficients(2, a, m, 1).coefficient((1,)) == -m * (m + 1)
     assert toda_coefficients(2, a, 1).coefficient((1,)) == -1
     walks = []
-    monkeypatch.setattr(eigenfunctions, "_chain_sums", lambda *args: walks.append(args))
-    monkeypatch.setattr(eigenfunctions, "cs_product_coefficients",
-                        lambda *args: walks.append(args))
+    monkeypatch.setattr(eigenfunctions, "_product_pairs", lambda *args: walks.append(args))
     message = "(lam, lam) = s at gamma=(2,); highest weight is not generic"
     for compute in (lambda: cs_coefficients(2, a, m, 2),
                     lambda: cs_product_series(2, a, m, 3),
@@ -372,10 +370,12 @@ def test_operator_matches_per_chain_reference(case):
 
 
 def tail_and_fold(checked, m):
-    """The product as the CS tail times the Weyl-denominator power
-    (series.weyl_fold): the oracle of the conjugated recursion."""
-    walk = eigenfunctions._eigen_recursion(checked, 2 * m * (m + 1), eigenfunctions._chain_sums)
-    return weyl_fold(checked[1], *walk, m)
+    """The product as the dict-reference CS tail times the Weyl-denominator
+    power (series.weyl_fold): the oracle of the conjugated recursion."""
+    lam0, lattice = checked[:2]
+    tail = reference_cs_tail(len(lam0), lam0, m, lattice.degree).coeffs
+    c = [tail.get(g, Fraction(0)) for g in lattice.vectors]
+    return weyl_fold(lattice, [x.numerator for x in c], [x.denominator for x in c], m)
 
 
 @pytest.mark.parametrize("n, degree", [(8, 5), (3, 24), (4, 10)])

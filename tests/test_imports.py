@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the CLI
-starts without the heavy standard-library modules.
+"""Every name a package module imports is used in that module, every
+top-level function or class is used or re-exported, and the CLI starts
+without the heavy standard-library modules.
 
 __init__.py is left out of the unused-name check: it imports names to
 re-export them."""
@@ -39,6 +40,44 @@ def test_detector_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphaned_definitions(sources: dict[str, str]) -> list[str]:
+    """module.name for each top-level function or class in `sources` (module
+    name -> text) that no other top-level statement of any module names,
+    as a variable, an attribute or an import."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(f"{module}.{own}")
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name) else
+                        sub.attr if isinstance(sub, ast.Attribute) else
+                        sub.name if isinstance(sub, ast.alias) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    return [d for d in defined if d.split(".")[1] not in used]
+
+
+def test_detector_flags_an_orphaned_definition():
+    sources = {"a": "def f():\n    g()\ndef g(): pass\ndef h():\n    h()\n",
+               "b": "from .a import f\nclass C: pass\n"}
+    assert orphaned_definitions(sources) == ["a.h", "b.C"]
+
+
+# a test helper that README documents
+ORPHANS_KEPT = ["localization.clear_caches"]
+
+
+def test_every_definition_is_used_or_exported():
+    """A helper orphaned by a refactor fails here: every top-level function
+    or class of the package is named elsewhere in it or re-exported by
+    __init__."""
+    package = Path(quasiflags.__file__).parent
+    sources = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert orphaned_definitions(sources) == ORPHANS_KEPT
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -55,6 +55,13 @@ GOLDEN = [
      "015457d852d1b4c5e40b3f0dac218f9a4770d4ddd1fd65e639ad46d64dc83b53"),
     ("inspect series --n 4 --max-degree 6 --kind product --a=3/7,1/2,-1/3,-25/42 --m=-3/5 --x 2",
      "6cfb6551cdd11b86d7af781d065956962a3838404f3b600c2a9262fdcfcf8288"),
+    # the CS tail, the product folded back, at the same points
+    ("inspect series --n 3 --max-degree 10 --kind cs --a=5/3,1/2,-13/6 --m=-4",
+     "0bcb782a00e8537e6629f000ad4bee2b3ac29c93803d5c0462a2be0687346f72"),
+    ("inspect series --n 3 --max-degree 10 --kind cs --a=5/3,1/2,-13/6 --m=-1",
+     "db29a35438f842129f9136462805317505de63d82ded83a371eec6736fa3f74f"),
+    ("inspect series --n 4 --max-degree 6 --kind cs --a=3/7,1/2,-1/3,-25/42 --m=-3/5 --x 2",
+     "52739bbe97c3a8ffc02328dc7f94fae8f99da2da641b3bd88f333034ad9a1fd3"),
     ("inspect series --n 4 --max-degree 5 --kind denominator --m=7/3",
      "3bc1dc356f2c48171bbc33d5806e2b46add1eca26f895beda3eb1642247f59e8"),
     # the Toda tail alone, at x != 1

@@ -199,6 +199,24 @@ def test_scaling_record_computes_each_base_coefficient_once(monkeypatch):
     assert len(calls) == 1 + 3
 
 
+def test_eigen_record_reaches_the_product_kernel(monkeypatch):
+    """The CS tail is the conjugated recursion's product folded back, so a
+    product kernel off by one at its top coefficient fails the eigen record
+    at each n."""
+    kernel = eigenfunctions._product_pairs
+
+    def off_by_one(checked, m):
+        bn, bd = kernel(checked, m)
+        bn[-1] += bd[-1]
+        return bn, bd
+
+    monkeypatch.setattr(eigenfunctions, "_product_pairs", off_by_one)
+    record = verify._eigen_record(4, 5, SplitMix64(3))
+    assert not record["passed"]
+    assert record["witnesses"] == [f"n={n}: operator image differs from s * series"
+                                   for n in (2, 3)]
+
+
 def _fails_once(original):
     calls = []
 
