@@ -59,12 +59,19 @@ class EigenSeries(NamedTuple):
 
 def _integer_gaps(lattice: RootLattice, lam0) -> tuple[int, list[int]]:
     """L, the lcm of the denominators of lam0, and for each degree vector
-    gamma the integer G = sum_k (2 U_k + L e_k) e_k, where U = L lam0 and e
-    embeds gamma, so that (lam0 + e, lam0 + e) - s = G / L."""
+    gamma the integer G = 2 (U, e) + L (e, e), where U = L lam0 and e embeds
+    gamma, so that (lam0 + e, lam0 + e) - s = G / L.  Each G is filled from
+    its vector's first in-cone step s, from source[s] along e_a - e_b:
+    G = G[source[s]] + 2 L (1 - pairing[s]) - 2 (U_a - U_b)."""
     scale = lcm(*(l.denominator for l in lam0))
-    u2 = [2 * l.numerator * (scale // l.denominator) for l in lam0]
-    return scale, [sum((w + scale * e) * e for w, e in zip(u2, emb))
-                   for emb in lattice.embeddings]
+    u = [l.numerator * (scale // l.denominator) for l in lam0]
+    start, source, _, root, pairing = lattice.steps
+    rise = [2 * (scale - u[a] + u[b]) for a, b in lattice.roots]
+    gaps = [0] * len(lattice.vectors)
+    for i in range(1, len(gaps)):
+        s = start[i]
+        gaps[i] = gaps[source[s]] + rise[root[s]] - 2 * scale * pairing[s]
+    return scale, gaps
 
 
 def check_nonresonant(n, a_over_x, degree) -> tuple[WeightVec, RootLattice, int, list[int]]:
@@ -110,7 +117,7 @@ def toda_tail_coefficients(checked, x=Fraction(1)) -> list[Fraction]:
     _, lattice, scale, gaps = checked
     coupling = 2 / (x * x)
     top, bottom = coupling.numerator * scale, coupling.denominator
-    simple = lattice.prev[:len(lattice.vectors[0])]  # simple roots come first
+    simple = lattice.prev[:len(lattice.vectors[0])]  # lattice.roots lists them first
     cn, cd = [1] * len(gaps), [1] * len(gaps)
     for i in range(1, len(gaps)):
         num, den = 0, 1
@@ -141,9 +148,9 @@ def _product_pairs(checked, m) -> tuple[list[int], list[int]]:
     lam0, lattice, scale, gaps = checked
     start, source, below, root, pairing = lattice.steps
     k = Fraction(m) + 1
-    n, top, bottom = len(lam0), k.numerator, k.denominator
+    top, bottom = k.numerator, k.denominator
     u = [l.numerator * (scale // l.denominator) for l in lam0]
-    base = [bottom * (u[a] - u[a + h]) - scale * top * h for h in range(1, n) for a in range(n - h)]
+    base = [bottom * (u[a] - u[b]) - scale * top * (b - a) for a, b in lattice.roots]
     shift, bn, bd = scale * bottom, [1] * len(gaps), [1] * len(gaps)
     pn, pd = [0] * start[-1], [0] * start[-1]
     for i in range(1, len(gaps)):

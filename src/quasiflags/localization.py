@@ -17,16 +17,15 @@ steps, each step depending on two consecutive rows only;
 chern_series_coefficients and volume_coefficients sum those step factors
 along a row-transfer graph, with no fixed point enumerated and no tangent
 table built, and fall back to the kernel at the degrees a local pole of a
-step factor reaches.  A step is a few signed runs of k, each run's factor a
-quotient of prefix products equal to the per-key _products, all on ints.
+step factor reaches.  A step is a few signed runs of k; over a run the
+weights form an arithmetic progression, so each run's factor is one product
+of a range, equal to the per-key _products, all on ints.
 """
 
 import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from operator import mul
 
 from . import characters
 from .characters import (TorusWeight, WeightTable, pair_counts, table_weights,
@@ -90,7 +89,7 @@ def _products(keys, mults, pt: ParameterPoint, chern: bool) -> tuple[int, int]:
     """(top, bottom) with top / bottom = prod ((V + M) / V)^mult (chern) or
     prod (1 / V)^mult over a count map with signed multiplicities, where
     V = U_j - U_{j'} + k L is L/x times the weight value: the per-key
-    evaluator, which _step_factors telescopes over runs."""
+    evaluator, which _step_factors matches run by run."""
     u, scale, shift = pt.integer_scaling
     top = bottom = 1
     for (j, j_prime, k), mult in zip(keys, mults):
@@ -218,26 +217,17 @@ def _transfer_table(n: int, max_degree: int):
 
 def _step_factors(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> list:
     """The (top, bottom) of _products on each step's expanded runs, at the
-    point.  Per pair (j, j'), V and V + M (1 for volume) have prefix products
-    P over k in (-D, D] that skip their one possible zero, so a run over
-    (lo, hi] costs (P[hi] // P[lo])^|mult|, or 0 if it holds the zero."""
+    point.  Over a run's k in (lo, hi], V rises in steps of L, so its product
+    is one math.prod of a range, and V + M's (1 for volume) is the same range
+    shifted by M; a run that holds a zero multiplies to 0."""
     _, tables, _, runs = _transfer_table(n, max_degree)
     u, scale, shift = pt.integer_scaling
-    first = -max_degree  # every row entry lies in [0, D]
-
-    def prefix(base):  # P[k - first], and the k of the zero (first: none)
-        factors = (base + k * scale or 1 for k in range(first + 1, max_degree + 1))
-        return (list(accumulate(factors, mul, initial=1)),
-                -base // scale if base % scale == 0 else first)
-    ones = [1] * (2 * max_degree + 1), first
-    prefixes = {(j, j_prime): (prefix(u[j] - u[j_prime]),
-                               prefix(u[j] - u[j_prime] + shift) if chern else ones)
-                for j, j_prime in {run[:2] for run in runs}}
     tops, bottoms = [], []  # per run, on the side _products puts it by the sign of mult
     for j, j_prime, lo, hi, mult in runs:
-        (values, zero), (others, other_zero) = prefixes[j, j_prime]
-        value = 0 if lo < zero <= hi else values[hi - first] // values[lo - first]
-        other = 0 if lo < other_zero <= hi else others[hi - first] // others[lo - first]
+        first = u[j] - u[j_prime] + (lo + 1) * scale
+        stop = first + (hi - lo) * scale
+        value = math.prod(range(first, stop, scale))
+        other = math.prod(range(first + shift, stop + shift, scale)) if chern else 1
         tops.append(other ** mult if mult > 0 else value ** -mult)
         bottoms.append(value ** mult if mult > 0 else other ** -mult)
     return [(math.prod(map(tops.__getitem__, step)), math.prod(map(bottoms.__getitem__, step)))

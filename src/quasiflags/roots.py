@@ -9,10 +9,9 @@ with the coefficient pattern the eigenfunction recursion expects.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import takewhile
 
-from .series import DegreeVector, check_degree_vector
+from .series import check_degree_vector
 
 WeightVec = tuple[Fraction, ...]
 CoweightVec = tuple[Fraction, ...]
@@ -86,8 +85,14 @@ def pairing(coweight, weight) -> Fraction:
     return inner(coweight, weight)
 
 
-@lru_cache(maxsize=1024)  # one key per degree: 83 on properties n=4 D=5, 527 at n=32 D=1
-def _kostant_cached(n: int, gamma: DegreeVector) -> int:
+def kostant_count(gamma, n: int) -> int:
+    """Number of multisets of positive roots summing to sum d_i alpha_i.
+
+    Computed one positive root at a time over the remainders of gamma and
+    their numbers of ways; this is the independent counting oracle against
+    which fixed-point enumeration is checked.
+    """
+    gamma = check_degree_vector(gamma, n - 1)
     ways = {gamma: 1}  # remainder of gamma -> ways to reach it with the roots so far
     for i in range(n - 1):
         # the roots alpha_i + ... + alpha_j that fit under gamma, subtracted on [i, j]
@@ -99,14 +104,3 @@ def _kostant_cached(n: int, gamma: DegreeVector) -> int:
                     rest = rest[:i] + tuple(r - 1 for r in rest[i:j + 1]) + rest[j + 1:]
             ways = step
     return ways.get((0,) * (n - 1), 0)
-
-
-def kostant_count(gamma, n: int) -> int:
-    """Number of multisets of positive roots summing to sum d_i alpha_i.
-
-    Computed one positive root at a time over the remainders of gamma and
-    their numbers of ways; this is the independent counting oracle against
-    which fixed-point enumeration is checked.
-    """
-    gamma = check_degree_vector(gamma, n - 1)
-    return _kostant_cached(n, gamma)

@@ -113,19 +113,20 @@ def series_mul(a: Series, b: Series, degree: int) -> Series:
 
 class RootLattice(NamedTuple):
     """The degree vectors of sl_n through total degree `degree`, in (total,
-    lex) order, with their integer weight coordinates and, for each positive
-    root alpha by height (simple roots first), the predecessor array prev[i]:
-    the index of vectors[i] - alpha, or -1 outside the cone.
+    lex) order; roots, the index pairs (a, b) of the positive roots
+    alpha = e_a - e_b by height (simple roots first); and for each root the
+    predecessor array prev[i]: the index of vectors[i] - alpha, or -1 outside
+    the cone.
 
     steps = (start, source, below, root, pairing) numbers the in-cone steps
     vector by vector, in root order: step s, start[i] <= s < start[i+1], goes
     up to vectors[i] from vectors[source[s]] along the root of index root[s];
     below[s] is the step into source[s] along the same root, or -1, and
-    pairing[s] = (alpha, embeddings[source[s]])."""
+    pairing[s] = (alpha, e) with e the weight coordinates of vectors[source[s]]."""
 
     degree: int
     vectors: tuple[DegreeVector, ...]
-    embeddings: tuple[tuple[int, ...], ...]
+    roots: tuple[tuple[int, int], ...]
     prev: tuple[tuple[int, ...], ...]
     steps: tuple[tuple[int, ...], ...]
 
@@ -153,15 +154,15 @@ def root_lattice(n: int, degree: int) -> RootLattice:
     start = (0, *accumulate(len(col) - col.count(-1) for col in zip(*prev)))
     fill, steps = list(start), [[0] * start[-1] for _ in range(4)]
     source, below, root, pairing = steps
-    ends = [(a, a + h) for h in range(1, n) for a in range(n - h)]
-    for r, (chain, (a, b)) in enumerate(zip(prev, ends)):
+    roots = tuple((a, a + h) for h in range(1, n) for a in range(n - h))
+    for r, (chain, (a, b)) in enumerate(zip(prev, roots)):
         at = [-1] * len(vectors)  # the step into each vector along alpha
         for i in [i for i, p in enumerate(chain) if p >= 0]:
             at[i] = s = fill[i]
             fill[i] = s + 1
             p = source[s] = chain[i]
             below[s], root[s], pairing[s] = at[p], r, embeddings[p][a] - embeddings[p][b]
-    return RootLattice(degree, vectors, embeddings, tuple(prev), (start, *map(tuple, steps)))
+    return RootLattice(degree, vectors, roots, tuple(prev), (start, *map(tuple, steps)))
 
 
 def weyl_fold(lattice: RootLattice, num: list[int], den: list[int], m) -> list[Fraction]:

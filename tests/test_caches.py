@@ -8,7 +8,6 @@ BOUNDS = {
     ("quasiflags.characters", "tangent_table"): 8192,
     ("quasiflags.hall", "_all_subspaces"): 16,
     ("quasiflags.localization", "_transfer_table"): 16,
-    ("quasiflags.roots", "_kostant_cached"): 1024,
     ("quasiflags.series", "root_lattice"): 32,
     ("quasiflags.tableaux", "_fixed_points"): 4096,
 }

@@ -14,7 +14,8 @@ from quasiflags.errors import ResonantParameter
 from quasiflags.localization import ParameterPoint, volume_coefficient
 from quasiflags.roots import embed_degree, inner, kostant_count
 from quasiflags.scalars import generalized_binomial
-from quasiflags.series import Series, degree_vectors, denominator_power_series, weyl_fold
+from quasiflags.series import (Series, degree_vectors, denominator_power_series,
+                               root_lattice, weyl_fold)
 
 
 A2 = (Fraction(7, 3), Fraction(-7, 3))          # v = 14/3
@@ -315,6 +316,23 @@ def assert_same_outcome(reference, *computes):
         return
     for compute in computes:
         assert compute() == expected
+
+
+def test_integer_gaps_match_the_embedding_formula():
+    """Each gap, filled along the lattice steps, is the embedding sum
+    G = sum_k (2 U_k + L e_k) e_k with e = embed_degree(gamma), at base
+    points with L = 6."""
+    sizes = [(n, degree) for n in range(2, 7) for degree in range(5)] + [(8, 5), (3, 24)]
+    for n, degree in sizes:
+        rng = random.Random(f"{n},{degree}")
+        numerators = [1] + [rng.randint(-40, 40) for _ in range(n - 2)]
+        lam0 = tuple(Fraction(p, 6) for p in numerators + [-sum(numerators)])
+        lattice = root_lattice(n, degree)
+        scale, gaps = eigenfunctions._integer_gaps(lattice, lam0)
+        u = [scale * l for l in lam0]
+        assert scale == 6
+        assert gaps == [sum((2 * w + scale * e) * e for w, e in zip(u, embed_degree(g, n)))
+                        for g in lattice.vectors]
 
 
 # base points where most gaps G are negative, so the recursion divides by

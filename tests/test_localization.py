@@ -278,6 +278,10 @@ LOCAL_POLES = [
 ]
 
 
+# runs over k in (lo, hi] whose V or V + M passes through 0 with L = 3
+ZEROS_AT_L3 = (3, 4, _point((Fraction(1, 3), Fraction(4, 3), Fraction(-5, 3)), 1))
+
+
 def step_tables(n, max_degree):
     """Each step of the row-transfer graph as the WeightTable of its runs."""
     _, tables, _, runs = _transfer_table(n, max_degree)
@@ -323,7 +327,7 @@ def test_row_transfer_raises_as_the_kernel_does(n, max_degree, pt):
 
 
 def assert_step_factors_equal_products(n, max_degree, pt):
-    """The telescoped factor of every step of the graph is, as an int pair,
+    """The run-by-run factor of every step of the graph is, as an int pair,
     _products over the step's expanded runs, for Chern and volume."""
     tables = step_tables(n, max_degree)
     for chern in (True, False):
@@ -344,9 +348,21 @@ def test_step_factors_equal_products_on_every_graph(n, max_degree, data):
     (3, 3, _point((-4, 1, 3), -2)),  # V + M vanishes at the x-only k = 2
     (4, 5, _point((6, -30, 10, 14), 0)),  # m = 0: V + M = V
     (3, 4, _point((0, 0, 0), 1)),  # every a_j - a_j' vanishes
+    ZEROS_AT_L3,
 ])
 def test_step_factors_equal_products_at_special_points(n, max_degree, pt):
     assert_step_factors_equal_products(n, max_degree, pt)
+
+
+def test_graph_runs_hold_both_zeros_at_a_point_with_l_above_one():
+    """At ZEROS_AT_L3 the range step L is 3, and graph runs hold keys where V
+    vanishes and keys where V + M vanishes."""
+    n, max_degree, pt = ZEROS_AT_L3
+    u, scale, shift = pt.integer_scaling
+    values = [u[j] - u[j_prime] + k * scale
+              for j, j_prime, lo, hi, _ in _transfer_table(n, max_degree)[3]
+              for k in range(lo + 1, hi + 1)]
+    assert scale == 3 and 0 in values and -shift in values
 
 
 @pytest.mark.parametrize("fault, message", [

@@ -167,6 +167,7 @@ def test_root_steps_match_direct_subtraction():
         index = {g: i for i, g in enumerate(lattice.vectors)}
         # positive roots e_a - e_{a+h} = alpha_{a+1} + ... + alpha_{a+h} by height h
         roots = [(a, a + h) for h in range(1, n) for a in range(n - h)]
+        assert lattice.roots == tuple(roots)
         supports = [tuple(1 if a <= k < b else 0 for k in range(n - 1)) for a, b in roots]
         assert start[0] == 0 and start[-1] == len(source)
         for i, g in enumerate(lattice.vectors):
