@@ -19,7 +19,7 @@ turning that matrix times a diagonal into the diagonal again.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, product as iter_product
-from math import factorial
+from math import factorial, lcm, prod
 
 from .errors import NonGenericParameter
 from .matrices import Matrix
@@ -312,22 +312,27 @@ def unipotent_product(n: int) -> Matrix:
     return result
 
 
+def _integer_scale(t) -> list[int]:
+    """t times the lcm of its denominators (all here is homogeneous in t)."""
+    scale = lcm(*(Fraction(v).denominator for v in t))
+    return [int(Fraction(v) * scale) for v in t]
+
+
 def conjugator_matrix(t) -> Matrix:
     """The unitriangular matrix with entries
     x_{ij} = 1/(t_i/t_j - 1) * prod_{k=i+1}^{j-1} 1/(1 - t_k/t_i)  (i < j),
-    which conjugates diag(t) into (all-ones unitriangular) * diag(t)."""
-    t = [Fraction(v) for v in t]
-    n = len(t)
-    if any(v == 0 for v in t) or len(set(t)) != n:
+    which conjugates diag(t) into (all-ones unitriangular) * diag(t); with
+    T = _integer_scale(t), x_{ij} = T_j T_i^{j-i-1} / prod_{k=i+1}^{j} (T_i - T_k)."""
+    T = _integer_scale(t)
+    n = len(T)
+    if 0 in T or len(set(T)) != n:
         raise NonGenericParameter("entries must be distinct and nonzero")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = Fraction(1)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, T_i in enumerate(T):
+        den = 1
         for j in range(i + 1, n):
-            entry = Fraction(1) / (t[i] / t[j] - 1)
-            for k in range(i + 1, j):
-                entry *= Fraction(1) / (1 - t[k] / t[i])
-            rows[i][j] = entry
+            den *= T_i - T[j]
+            rows[i][j] = Fraction(T[j] * T_i ** (j - i - 1), den)
     return Matrix(rows)
 
 
@@ -346,28 +351,23 @@ def conjugator_check(n: int, t) -> dict:
     * conjugation: x * g * diag(t) == diag(t) * x, with g the all-ones
       unitriangular matrix (equivalently g diag(t) = x^{-1} diag(t) x);
     * evaluation: the product of the entries of x applied to the all-ones
-      vector equals prod_{j > i} 1/(1 - t_j/t_i).  (Applying the dual action
-      of the group element x^{-1} to a product of coordinates pulls the
-      coordinates back through x itself, whence the vector is x @ ones.)
+      vector equals prod_{j > i} 1/(1 - t_j/t_i) = prod_{j > i} T_i/(T_i - T_j)
+      (the dual action of x^{-1} on a product of coordinates pulls them back
+      through x itself, whence the vector is x @ ones, the row sums of x).
     """
     t = [Fraction(v) for v in t]
     if len(t) != n:
         raise ValueError(f"expected {n} entries, got {len(t)}")
     x = conjugator_matrix(t)
-    conj_ok = _conjugates(x, t)
-    ones = [Fraction(1)] * n
-    prod_entries = Fraction(1)
-    for e in x.apply(ones):
-        prod_entries *= e
-    target = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            target *= Fraction(1) / (1 - t[j] / t[i])
+    T = _integer_scale(t)
+    conj_ok = _conjugates(x, T)
+    gaps = prod(T_i - T_j for i, T_i in enumerate(T) for T_j in T[i + 1:])
+    eval_ok = prod(map(sum, x.rows)) * gaps == prod(T_i ** (n - 1 - i) for i, T_i in enumerate(T))
     return {
         "n": n,
         "t": [str(v) for v in t],
         "conjugation_identity": conj_ok,
-        "evaluation_identity": prod_entries == target,
+        "evaluation_identity": eval_ok,
         "evaluation_variant": "product of entries of x @ ones",
-        "passed": conj_ok and prod_entries == target,
+        "passed": conj_ok and eval_ok,
     }

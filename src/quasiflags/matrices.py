@@ -1,9 +1,9 @@
 """Small exact matrices over the rationals.
 
-Just enough dense linear algebra for the unipotent-group and conjugation
-identities: sums, products and commutators.  Every integral entry is stored
-as an int (it compares and hashes equal to the same Fraction), every other
-entry as an exact Fraction.
+Just enough linear algebra for the unipotent-group and conjugation
+identities: sums, row-sparse products (most entries there are zero) and
+commutators, of equal sizes only.  Every integral entry is stored as an int
+(it compares and hashes equal to the same Fraction), every other as a Fraction.
 """
 
 from fractions import Fraction
@@ -53,25 +53,36 @@ class Matrix:
     def size(self) -> int:
         return len(self.rows)
 
+    def _match(self, size: int, what: str) -> None:
+        if size != self.size:
+            raise ValueError(f"size mismatch: {self.size}x{self.size} matrix and {what} {size}")
+
     def __add__(self, other: "Matrix") -> "Matrix":
+        self._match(other.size, "matrix of size")
         return Matrix([[a + b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+        return self + other.scale(-1)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        bt = list(zip(*other.rows))
-        return Matrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                       for row in self.rows])
+        self._match(other.size, "matrix of size")
+        product = []
+        for row in self.rows:
+            acc = [0] * len(row)
+            for a, right in zip(row, other.rows):
+                if a:  # adds a times the matching row of other
+                    acc = [c + a * b for c, b in zip(acc, right)]
+            product.append(acc)
+        return Matrix(product)
 
     def scale(self, factor) -> "Matrix":
-        factor = Fraction(factor)
+        factor = _exact(factor)
         return Matrix([[factor * e for e in row] for row in self.rows])
 
     def apply(self, vector) -> list[Fraction]:
         vector = [Fraction(v) for v in vector]
+        self._match(len(vector), "vector of length")
         return [sum(a * v for a, v in zip(row, vector)) for row in self.rows]
 
     def commutator(self, other: "Matrix") -> "Matrix":

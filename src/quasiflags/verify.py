@@ -16,6 +16,7 @@ the row-transfer lists (chern_series_coefficients, volume_coefficients).
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from .characters import pair_count_rows, pair_counts, shift_defect, weight_table
 from .errors import InternalInconsistency, NonGenericParameter
@@ -226,10 +227,16 @@ def _character_record(n, max_degree) -> dict:
     pairs = 0
     for nn in range(2, n + 1):
         points = [t for g in degree_vectors(nn - 1, bound) for t in enumerate_fixed_points(nn, g)]
-        tabs = [(t, sum(t.degree())) for t in points]
-        for (d, size), row in zip(tabs, pair_count_rows(points, points, nn)):
-            for (dp, size_p), counts in zip(tabs, row):
-                pairs += 1
+        sizes = [sum(t.degree()) for t in points]
+        rows = pair_count_rows(points, points, nn)
+        for i, (d, size, row) in enumerate(zip(points, sizes, rows)):
+            pairs += len(row)
+            values = list(map(dict.values, row))
+            if (list(map(sum, values)) == list(map(size.__add__, sizes))
+                    and min(chain.from_iterable(values), default=0) >= 0
+                    and not row[i].get((0, 0, 0))):
+                continue  # the row holds; the pair loop below names a failing row's faults
+            for dp, size_p, counts in zip(points, sizes, row):
                 total = sum(counts.values())
                 expected = size + size_p
                 if total != expected:

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 
 import pytest
 
@@ -266,6 +267,36 @@ def test_conjugator_n3_reference_point():
 def test_conjugator_n5_random_rationals():
     t = (Fraction(7, 2), Fraction(-3), Fraction(11, 4), Fraction(5), Fraction(-1, 3))
     assert conjugator_check(5, t)["passed"]
+
+
+def test_integer_conjugator_matches_the_fraction_formula():
+    """conjugator_matrix and the evaluation target, computed on the integer
+    scaling of t, against the docstrings' Fraction formulas at t with
+    negative and fractional entries."""
+    rng = random.Random(29)
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        t = []
+        while len(t) < n:
+            v = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            if v and v not in t:
+                t.append(v)
+        expected = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                entry = 1 / (t[i] / t[j] - 1)
+                for k in range(i + 1, j):
+                    entry *= 1 / (1 - t[k] / t[i])
+                expected[i][j] = entry
+        x = conjugator_matrix(t)
+        assert x.rows == tuple(map(tuple, expected))
+        target = Fraction(1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                target *= 1 / (1 - t[j] / t[i])
+        row_sums = [sum(row, Fraction(0)) for row in expected]
+        assert target == prod(row_sums)
+        assert conjugator_check(n, t)["passed"]
 
 
 def test_conjugator_rejects_degenerate_scales():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from quasiflags.matrices import Matrix
 
 
@@ -45,3 +47,46 @@ def test_integer_products_match_fraction_triple_loop():
         product = Matrix(a) * Matrix(b)
         assert product == Matrix(reference_product(a, b))
         assert all(type(e) is int for row in product.rows for e in row)
+
+
+def sparse_entry(rng):
+    """Mostly zero; otherwise an int or a Fraction, some of them integral."""
+    kind = rng.random()
+    if kind < 0.6:
+        return 0
+    if kind < 0.8:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+
+
+def test_row_sparse_products_match_fraction_triple_loop():
+    """Every entry equals the reference and is an int exactly when integral,
+    also where non-integral Fraction terms summed to an integer."""
+    rng = random.Random(29)
+    integral_from_fractions = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = [[sparse_entry(rng) for _ in range(n)] for _ in range(n)]
+        b = [[sparse_entry(rng) for _ in range(n)] for _ in range(n)]
+        reference = reference_product(a, b)
+        product = Matrix(a) * Matrix(b)
+        assert product.rows == tuple(map(tuple, reference))
+        for i, (row, ref_row) in enumerate(zip(product.rows, reference)):
+            fractional = any(type(x) is Fraction and x.denominator > 1 for x in a[i])
+            for e, ref in zip(row, ref_row):
+                assert type(e) is (int if ref.denominator == 1 else Fraction)
+                integral_from_fractions += fractional and ref.denominator == 1 and ref != 0
+    assert integral_from_fractions > 50
+
+
+@pytest.mark.parametrize("operation", [
+    lambda: Matrix.identity(2) + Matrix.identity(3),
+    lambda: Matrix.identity(3) - Matrix.identity(2),
+    lambda: Matrix.identity(2) * Matrix.identity(3),
+    lambda: Matrix.identity(3).apply([1, 2]),
+], ids=["add", "sub", "mul", "apply"])
+def test_size_mismatch_raises_naming_both_sizes(operation):
+    with pytest.raises(ValueError, match=r"size mismatch: \d+x\d+ matrix and "
+                                         r"(matrix of size|vector of length) \d+") as exc:
+        operation()
+    assert "2" in str(exc.value) and "3" in str(exc.value)

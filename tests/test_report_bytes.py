@@ -24,6 +24,9 @@ GOLDEN = [
     # the benchmark's properties command
     ("properties --n 4 --max-degree 5 --seed 3",
      "cf45784f67bb4c0c455e2752651d98316e8585131e4bfa273eb95a1bb39b6acb"),
+    # pair characters at ranks 2..5: 106,796 pairs
+    ("properties --n 5 --max-degree 5 --seed 3",
+     "d22e55e1606dc4923951b0f9798fb998ae096a785ce1b7a3efb290d4705ee437"),
     # n=8: many fixed points share flag-step rows
     ("verify-main --n 8 --max-degree 3 --trials 1 --seed 1",
      "ed4c181f327ebbe10673f121263f9751f217a8d29ffb5c9153485ecb4f8ea7ec"),

@@ -8,11 +8,12 @@ import quasiflags.eigenfunctions as eigenfunctions
 import quasiflags.localization as localization
 import quasiflags.verify as verify
 from quasiflags.eigenfunctions import toda_coefficients, toda_limit_ratios
-from quasiflags.errors import NonGenericParameter
+from quasiflags.errors import InternalInconsistency, NonGenericParameter
 from quasiflags.localization import ParameterPoint
 from quasiflags.sampling import SplitMix64
 from quasiflags.scalars import format_rational
-from quasiflags.tableaux import Tableau
+from quasiflags.series import degree_vectors
+from quasiflags.tableaux import Tableau, enumerate_fixed_points
 from quasiflags.verify import (GenericityExhausted, run_properties, verify_main,
                                verify_toda)
 
@@ -378,6 +379,73 @@ def test_a_cancelled_zero_weight_key_is_no_tangent_failure(monkeypatch):
     inject_into_zero_pair(monkeypatch, {(0, 0, 0): 0})
     rec = verify._character_record(2, 1)
     assert rec["passed"] and rec["witnesses"] == []
+
+
+def inject_at(monkeypatch, rank, faults):
+    """Merge faults[(row, column)] into that pair's count map, at ambient rank `rank` only."""
+    original = verify.pair_count_rows
+
+    def injected(tableaux, columns, n):
+        for i, row in enumerate(original(tableaux, columns, n)):
+            for (r, c), entries in faults.items():
+                if n == rank and r == i:
+                    row[c] = {**row[c], **entries}
+            yield row
+
+    monkeypatch.setattr(verify, "pair_count_rows", injected)
+
+
+def pair_loop_witnesses(n, max_degree):
+    """Every witness of the character record, pair by pair, in order and uncut."""
+    witnesses = []
+    for nn in range(2, n + 1):
+        points = [t for g in degree_vectors(nn - 1, min(max_degree, 5))
+                  for t in enumerate_fixed_points(nn, g)]
+        for d, row in zip(points, verify.pair_count_rows(points, points, nn)):
+            for dp, counts in zip(points, row):
+                total = sum(counts.values())
+                expected = sum(d.degree()) + sum(dp.degree())
+                if total != expected:
+                    witnesses.append(f"n={nn} rank {total} != {expected} at "
+                                     f"({d.as_flat_list()}, {dp.as_flat_list()})")
+                if any(mult < 0 for mult in counts.values()):
+                    with pytest.raises(InternalInconsistency) as exc:
+                        characters.weight_table(counts)
+                    witnesses.append(
+                        f"n={nn} at ({d.as_flat_list()}, {dp.as_flat_list()}): {exc.value}")
+                if d is dp and counts.get((0, 0, 0)):
+                    witnesses.append(f"n={nn} tangent failure at {d.as_flat_list()}: "
+                                     f"zero weight in tangent space of {d}")
+    return witnesses
+
+
+def test_row_check_names_off_diagonal_faults_deep_in_a_row(monkeypatch):
+    """Row 9 of n=3 ([1, 1, 1]): column 11 loses rank and goes negative, and
+    column 6 goes negative at an unchanged rank, so only the row's minimum
+    sees it."""
+    inject_at(monkeypatch, 3, {(9, 11): {(0, 1, 7): -2},
+                               (9, 6): {(1, 0, 8): -1, (2, 0, 8): 1}})
+    rec = verify._character_record(3, 3)
+    assert rec["witnesses"] == [
+        "n=3 at ([1, 1, 1], [2, 0, 0]): negative multiplicity -1 at (j, j', k) = (1, 0, 8)",
+        "n=3 rank 4 != 6 at ([1, 1, 1], [2, 1, 0])",
+        "n=3 at ([1, 1, 1], [2, 1, 0]): negative multiplicity -2 at (j, j', k) = (0, 1, 7)"]
+    assert rec["witnesses"] == pair_loop_witnesses(3, 3)
+
+
+def test_row_check_names_faults_in_two_rows_in_row_order(monkeypatch):
+    """An extra weight in row 2's last pair, and on row 4's diagonal a zero
+    weight traded for one of the tangent weights, so the rank holds and only
+    the diagonal check sees it: the witnesses follow the rows, as the pair
+    loop gives them."""
+    inject_at(monkeypatch, 3, {(4, 4): {(0, 0, 0): 1, (0, 0, 1): 1},
+                               (2, 12): {(1, 2, 3): 1}})
+    rec = verify._character_record(3, 3)
+    assert rec["witnesses"] == [
+        "n=3 rank 5 != 4 at ([1, 0, 0], [3, 0, 0])",
+        "n=3 tangent failure at [1, 0, 1]: zero weight in tangent space of "
+        "Tableau([[1], [0, 1]])"]
+    assert rec["witnesses"] == pair_loop_witnesses(3, 3)
 
 
 # at the unshrunk point these four drew a spread of a/x where m = 1e3 lands
