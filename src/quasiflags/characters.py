@@ -9,24 +9,21 @@ the tangent bundle, which gives the tangent weights that feed every
 localization denominator.
 
 Internally a character is an integer count map (j, j', k) -> multiplicity of
-a_j - a_{j'} + k x (pair_counts), frozen for the localization kernel into a
-WeightTable; Character and TorusWeight are built from it only for the
-public API.  The blocks of flag step i depend only on the rows d'_i, d_i
-and d_{i+1} (step_intervals, as signed runs of k), so one walk, pair_count_rows,
-builds every pair map: it expands each step it meets once (expand_runs) and
-sums it once per distinct prefix d'_1, ..., d'_i of its columns.  pair_counts
-is its one-pair case.
+a_j - a_{j'} + k x (pair_counts), which the localization kernel reads as it
+is (weight_table only checks one); Character and TorusWeight are built from
+it only for the public API.  The blocks of flag step i depend only on the
+rows d'_i, d_i and d_{i+1} (step_intervals, as signed runs of k), so one
+walk, pair_count_rows, builds every pair map: it expands each step it meets
+once (expand_runs) and sums it once per distinct prefix d'_1, ..., d'_i of
+its columns.  pair_counts is its one-pair case.
 """
 
-from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InternalInconsistency
 from .tableaux import Tableau
 
-# a frozen count map: parallel tuples of keys (j, j', k) and multiplicities
-WeightTable = tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]
 
 class TorusWeight(NamedTuple):
     """Integer weight sum_j a_coeffs[j] * a_j + x_coeff * x of the torus times
@@ -133,12 +130,11 @@ def step_intervals(sources: tuple[int, ...], upper: tuple[int, ...], lower: tupl
         points, points[1:], accumulate(ends[k] for k in points)) if net])
 
 
-def expand_runs(runs) -> WeightTable:
-    """Signed runs (see step_intervals) as a WeightTable, one key per k: the
+def expand_runs(runs) -> dict[tuple[int, int, int], int]:
+    """Signed runs (see step_intervals) as a count map, one key per k: the
     only expansion of a step into keys."""
-    return (tuple((j, j_prime, k) for j, j_prime, lo, hi, _ in runs
-                  for k in range(lo + 1, hi + 1)),
-            tuple(mult for _, _, lo, hi, mult in runs for _ in range(hi - lo)))
+    return {(j, j_prime, k): mult for j, j_prime, lo, hi, mult in runs
+            for k in range(lo + 1, hi + 1)}
 
 
 def pair_counts(d: Tableau, d_prime: Tableau, n: int) -> dict[tuple[int, int, int], int]:
@@ -178,9 +174,9 @@ def pair_count_rows(tableaux, columns, n: int):
                 step = (sources, rows[i], rows[i + 1])
                 pairs = steps.get(step)
                 if pairs is None:
-                    pairs = steps[step] = tuple(zip(*expand_runs(step_intervals(*step))))
+                    pairs = steps[step] = expand_runs(step_intervals(*step))
                 acc = maps[parent].copy()
-                for key, mult in pairs:
+                for key, mult in pairs.items():
                     acc[key] = acc.get(key, 0) + mult
                 grown.append(acc)
             maps = grown
@@ -193,26 +189,25 @@ def pair_character(d: Tableau, d_prime: Tableau, n: int) -> Character:
                       for (j, j_prime, k), mult in pair_counts(d, d_prime, n).items()})
 
 
-def weight_table(counts: dict[tuple[int, int, int], int]) -> WeightTable:
-    """Freeze a count map (see pair_counts) into a WeightTable.  Raises
-    InternalInconsistency, naming the least such key, on a negative
-    multiplicity."""
+def weight_table(counts: dict[tuple[int, int, int], int]) -> dict[tuple[int, int, int], int]:
+    """A count map (see pair_counts) checked as a weight table: returns it,
+    or raises InternalInconsistency, naming the least such key, on a
+    negative multiplicity."""
     negative = [key for key, mult in counts.items() if mult < 0]
     if negative:
         key = min(negative)
         raise InternalInconsistency(
             f"negative multiplicity {counts[key]} at (j, j', k) = {key}")
-    return tuple(counts), tuple(counts.values())
+    return counts
 
 
-def table_weights(table: WeightTable, n: int) -> tuple[TorusWeight, ...]:
+def table_weights(table: dict[tuple[int, int, int], int], n: int) -> tuple[TorusWeight, ...]:
     """Expand a weight table into its weight multiset, sorted as TorusWeights."""
-    return tuple(sorted(w for (j, j_prime, k), mult in zip(*table)
+    return tuple(sorted(w for (j, j_prime, k), mult in table.items()
                         for w in [pair_weight(j + 1, j_prime + 1, k, n)] * mult))
 
 
-@lru_cache(maxsize=8192)  # one key per fixed point: 9 on properties n=4 D=5
-def tangent_table(d: Tableau, n: int) -> WeightTable:
+def tangent_table(d: Tableau, n: int) -> dict[tuple[int, int, int], int]:
     """Weight table (see weight_table) of the tangent space at the fixed point
     d.  The diagonal character must be a genuine representation of dimension
     2 * sum(degree) with no zero weight; anything else means a transcription
@@ -220,12 +215,11 @@ def tangent_table(d: Tableau, n: int) -> WeightTable:
     counts = pair_counts(d, d, n)
     if (0, 0, 0) in counts:
         raise InternalInconsistency(f"zero weight in tangent space of {d}")
-    table = weight_table(counts)
-    size, expected = sum(table[1]), 2 * sum(d.degree())
+    size, expected = sum(weight_table(counts).values()), 2 * sum(d.degree())
     if size != expected:
         raise InternalInconsistency(
             f"tangent multiset has size {size}, expected {expected}")
-    return table
+    return counts
 
 
 def tangent_weights(d: Tableau, n: int) -> tuple[TorusWeight, ...]:

@@ -9,14 +9,15 @@ weight is reported as NonGenericParameter so the caller can resample the
 point.
 
 There are two evaluations of the same sums.  The per-point kernel,
-weight_ratio, serves matrix elements, the public single coefficients
-(chern_series_coefficient, volume_coefficient) and the row-transfer
-fallback.  Every series the package compares needs each coefficient with
-|gamma| <= D at once, and there the tangent character factors over flag
-steps, each step depending on two consecutive rows only;
+weight_ratio, reads the count maps of characters.pair_counts as they are,
+one fresh tangent map per fixed point, and serves matrix elements, the
+public single coefficients (chern_series_coefficient, volume_coefficient)
+and the row-transfer fallback.  Every series the package compares needs
+each coefficient with |gamma| <= D at once, and there the tangent character
+factors over flag steps, each step depending on two consecutive rows only;
 chern_series_coefficients and volume_coefficients sum those step factors
 along a row-transfer graph, with no fixed point enumerated and no tangent
-table built, and fall back to the kernel at the degrees a local pole of a
+map built, and fall back to the kernel at the degrees a local pole of a
 step factor reaches.  A step is a few signed runs of k; over a run the
 weights form an arithmetic progression, so each run's factor is one product
 of a range, equal to the per-key _products, all on ints.
@@ -28,8 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import characters
-from .characters import (TorusWeight, WeightTable, pair_counts, table_weights,
-                         tangent_table, weight_table)
+from .characters import TorusWeight, pair_counts, table_weights, tangent_table, weight_table
 from .errors import InternalInconsistency, NonGenericParameter
 from .roots import check_zero_sum
 from .series import degree_vectors
@@ -85,14 +85,14 @@ def evaluate_weight(w: TorusWeight, pt: ParameterPoint) -> Fraction:
     return total
 
 
-def _products(keys, mults, pt: ParameterPoint, chern: bool) -> tuple[int, int]:
+def _products(counts, pt: ParameterPoint, chern: bool) -> tuple[int, int]:
     """(top, bottom) with top / bottom = prod ((V + M) / V)^mult (chern) or
     prod (1 / V)^mult over a count map with signed multiplicities, where
     V = U_j - U_{j'} + k L is L/x times the weight value: the per-key
     evaluator, which _step_factors matches run by run."""
     u, scale, shift = pt.integer_scaling
     top = bottom = 1
-    for (j, j_prime, k), mult in zip(keys, mults):
+    for (j, j_prime, k), mult in counts.items():
         value = u[j] - u[j_prime] + k * scale
         other = value + shift if chern else 1
         if mult > 0:
@@ -104,24 +104,24 @@ def _products(keys, mults, pt: ParameterPoint, chern: bool) -> tuple[int, int]:
     return top, bottom
 
 
-def weight_ratio(numerator: WeightTable, denominator: WeightTable,
-                 pt: ParameterPoint) -> Fraction:
-    """prod over the numerator table of (w + m x)^mult divided by the product
-    over the denominator table of w^mult (tables built by
-    characters.weight_table from pair_counts maps).  Raises
-    NonGenericParameter, naming the first vanishing denominator weight in
-    TorusWeight order, when one vanishes."""
+def weight_ratio(numerator: dict, denominator: dict, pt: ParameterPoint) -> Fraction:
+    """prod over the numerator count map of (w + m x)^mult divided by the
+    product over the denominator map of w^mult (maps checked by
+    characters.weight_table); one map passed as both sides gives the Chern
+    ratio prod ((w + m x) / w)^mult in one pass.  Raises NonGenericParameter,
+    naming the first vanishing denominator weight in TorusWeight order, when
+    one vanishes."""
     chern = numerator is denominator
-    top, bottom = _products(*denominator, pt, chern)
+    top, bottom = _products(denominator, pt, chern)
     if bottom == 0:
         w = next(w for w in table_weights(denominator, pt.n) if evaluate_weight(w, pt) == 0)
         raise NonGenericParameter(f"weight {w} vanishes at {pt}")
     if chern:
         return Fraction(top, bottom)
-    top = _products(*numerator, pt, True)[0]
+    top = _products(numerator, pt, True)[0]
     # each weight is (x/L) V, which leaves (x/L)^(top_dim - dim) over
     return Fraction(top, bottom) * (pt.x / pt.integer_scaling[1]) ** (
-        sum(numerator[1]) - sum(denominator[1]))
+        sum(numerator.values()) - sum(denominator.values()))
 
 
 def chern_ratio(d: Tableau, pt: ParameterPoint) -> Fraction:
@@ -141,7 +141,7 @@ def volume_coefficient(n: int, gamma, pt: ParameterPoint) -> Fraction:
     """Coefficient at gamma of the equivariant-volume series: sum over fixed
     points of prod 1/w.  This is the termwise m -> infinity limit of the Chern
     series after dividing by m^(dim)."""
-    return sum((weight_ratio(((), ()), tangent_table(d, n), pt)
+    return sum((weight_ratio({}, tangent_table(d, n), pt)
                 for d in enumerate_fixed_points(n, gamma)), Fraction(0))
 
 
@@ -280,9 +280,3 @@ def volume_coefficients(n: int, max_degree: int, pt: ParameterPoint) -> list[Fra
     in that order, by one row-transfer pass: the step factors have an empty
     numerator, and each degree is scaled by (L/x)^(2|gamma|)."""
     return _row_transfer(n, max_degree, pt, chern=False)
-
-
-def clear_caches():
-    """Reset the tangent tables and the row-transfer graphs, together."""
-    tangent_table.cache_clear()
-    _transfer_table.cache_clear()

@@ -4,7 +4,8 @@ All arithmetic in the package is exact: scalars are `fractions.Fraction`
 values (always in lowest terms, positive denominator), and nothing is ever
 rounded.  This module adds the two pieces the standard library does not
 provide: a strict parser for rational literals and the generalized binomial
-coefficient used to expand inverse powers of (1 - t).
+coefficient, public and the tests' oracle for series.weyl_fold, which keeps
+its own running product so that the two share no code.
 """
 
 import re

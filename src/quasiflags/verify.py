@@ -290,7 +290,7 @@ def twist_constant(n: int, m: int, pt: ParameterPoint) -> Fraction:
     # the zero pair's own pair character is empty, so its defect is minus the
     # genuine character of the pair (zero, zero + m); weight_table rejects
     # anything else
-    return weight_ratio(((), ()), weight_table(pair_counts(zero, zero.shift(m), n)), pt)
+    return weight_ratio({}, weight_table(pair_counts(zero, zero.shift(m), n)), pt)
 
 
 def _twist_ratio_record(n, rng) -> dict:

@@ -5,7 +5,6 @@ import quasiflags
 
 # every module-level cache of the package, by function, with its bound
 BOUNDS = {
-    ("quasiflags.characters", "tangent_table"): 8192,
     ("quasiflags.hall", "_all_subspaces"): 16,
     ("quasiflags.localization", "_transfer_table"): 16,
     ("quasiflags.series", "root_lattice"): 32,

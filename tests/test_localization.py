@@ -283,7 +283,7 @@ ZEROS_AT_L3 = (3, 4, _point((Fraction(1, 3), Fraction(4, 3), Fraction(-5, 3)), 1
 
 
 def step_tables(n, max_degree):
-    """Each step of the row-transfer graph as the WeightTable of its runs."""
+    """Each step of the row-transfer graph as the count map of its runs."""
     _, tables, _, runs = _transfer_table(n, max_degree)
     return [characters.expand_runs([runs[i] for i in table]) for table in tables]
 
@@ -291,7 +291,7 @@ def step_tables(n, max_degree):
 @pytest.mark.parametrize("max_degree, pt, chern", LOCAL_POLES)
 def test_row_transfer_falls_back_at_local_poles(max_degree, pt, chern):
     tables = step_tables(pt.n, max_degree)
-    assert any(_products(*table, pt, chern)[1] == 0 for table in tables)
+    assert any(_products(table, pt, chern)[1] == 0 for table in tables)
     assert_row_transfer_matches_kernel(pt.n, max_degree, pt)
 
 
@@ -305,10 +305,9 @@ def test_row_transfer_sums_past_a_vanishing_step_numerator():
     tables = step_tables(n, max_degree)
     target = gammas.index((1, 2))
     arriving = [tables[step] for _, step, t in layers[-1][1] if t == target]
-    tops = [_products(*table, pt, True)[0] for table in arriving]
+    tops = [_products(table, pt, True)[0] for table in arriving]
     assert tops[0] == 0 and any(tops[1:])
-    keys, mults = arriving[0]
-    assert mults[keys.index((0, 0, 2))] > 0
+    assert arriving[0][(0, 0, 2)] > 0
     assert chern_series_coefficient(n, (1, 2), pt) != 0
     assert_row_transfer_matches_kernel(n, max_degree, pt)
 
@@ -331,7 +330,7 @@ def assert_step_factors_equal_products(n, max_degree, pt):
     _products over the step's expanded runs, for Chern and volume."""
     tables = step_tables(n, max_degree)
     for chern in (True, False):
-        expected = [_products(*table, pt, chern) for table in tables]
+        expected = [_products(table, pt, chern) for table in tables]
         assert _step_factors(n, max_degree, pt, chern) == expected
 
 
@@ -375,14 +374,14 @@ def test_transfer_table_checks_every_flag_step(monkeypatch, fault, message):
     """A step with a (0, 0) run over k = 0, or with a run missing, is caught
     when the row-transfer graph is built."""
     original = characters.step_intervals
-    localization.clear_caches()
+    localization._transfer_table.cache_clear()
     monkeypatch.setattr(characters, "step_intervals", lambda *rows: fault(original(*rows)))
     try:
         with pytest.raises(InternalInconsistency, match=message):
             chern_series_coefficients(3, 2, _point((7, 2, -9), Fraction(3, 2)))
     finally:
         monkeypatch.undo()
-        localization.clear_caches()
+        localization._transfer_table.cache_clear()
 
 
 def test_row_transfer_fetches_no_step_table_once_the_graph_is_built(monkeypatch):
@@ -410,7 +409,7 @@ def test_row_transfer_evaluates_no_weight_per_key(monkeypatch):
     n, max_degree = 3, 6
     pt = _point((Fraction(7, 3), Fraction(2, 5), Fraction(-41, 15)), Fraction(3, 2))
     expected = chern_series_coefficients(n, max_degree, pt), volume_coefficients(n, max_degree, pt)
-    localization.clear_caches()
+    localization._transfer_table.cache_clear()
 
     def forbidden(*args):
         raise AssertionError("per-key path called")
@@ -421,5 +420,5 @@ def test_row_transfer_evaluates_no_weight_per_key(monkeypatch):
         again = chern_series_coefficients(n, max_degree, pt), volume_coefficients(n, max_degree, pt)
     finally:
         monkeypatch.undo()
-        localization.clear_caches()
+        localization._transfer_table.cache_clear()
     assert again == expected

@@ -38,6 +38,10 @@ GOLDEN = [
      "6705515cbad937c3c6882bd7deae810b0bc1528a032f0742bc779d1e58912770"),
     ("verify-main --n 4 --max-degree 5 --trials 2 --seed 11",
      "97680f9fd880c0d50d0ff2a8f80d98084b996058cd731de0f4059514245ec2d6"),
+    # the benchmark's main-wide size: the trials hand 239 degrees to the
+    # per-point kernel
+    ("verify-main --n 8 --max-degree 5 --trials 3 --seed 3002",
+     "2efad6619bc031cd9aa86ba796f7d21c02450bd1c314b0cdf20ebea5037bc46c"),
     ("verify-toda --n 4 --max-degree 6 --trials 2 --seed 11",
      "5bb75761c06648be807f7c48278717afa77f9751e37fffd3a58f48506d8eaa8d"),
     # one non-generic point resampled

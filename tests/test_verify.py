@@ -133,7 +133,7 @@ def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch, run, lhs, rhs):
     n=2, D=4 graph, so the fault shows only if the reset drops that graph."""
     assert run(2, 4, trials=1, seed=5)["verdict"] == "pass"
     original = characters.step_intervals
-    localization.clear_caches()
+    localization._transfer_table.cache_clear()
     monkeypatch.setattr(characters, "step_intervals", _transposed_step_intervals(original))
     try:
         report = run(2, 4, trials=1, seed=5)
@@ -147,7 +147,7 @@ def test_injected_sign_fault_fails_at_lowest_degree(monkeypatch, run, lhs, rhs):
             assert (c["lhs"] == c["rhs"]) == c["equal"]
     finally:
         monkeypatch.undo()
-        localization.clear_caches()
+        localization._transfer_table.cache_clear()
 
 
 # the raising call comes after the wrong entry, at the same point
