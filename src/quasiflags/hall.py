@@ -8,7 +8,8 @@ structure constants themselves are counted here by brute force over a finite
 field.  Each subspace is its reduced row-echelon basis, and the ambient's edge
 maps are coordinate maps (each coordinate belongs to one indecomposable copy,
 and a map keeps it or drops it), so one elimination mod q decides both edge
-closure and the rank invariants that classify sub and quotient.
+closure and the composed-map ranks that sub and quotient must share with their
+target classes.
 
 The same module houses the two closed multiplicative identities used by the
 verification suite: the descending product of root exponentials equals the
@@ -149,29 +150,12 @@ def _all_subspaces(dim: int, q: int):
     return tuple(spaces)
 
 
-def _classify_by_ranks(rank_fn, dims, n: int) -> QuiverRepClass:
-    """Krull-Schmidt multiplicities from the rank invariants.
-
-    rank_fn(a, b) is the rank of the composed map vertex a -> vertex b; the
-    number of indecomposables with support containing [a, b] is exactly that
-    rank, and inclusion-exclusion over interval endpoints isolates each
-    multiplicity.
-    """
-    vertices = n - 1
-
-    def contains(a, b):
-        if a < 1 or b > vertices:
-            return 0
-        return dims[a - 1] if a == b else rank_fn(a, b)
-
-    mults = {}
-    for a in range(1, vertices + 1):
-        for b in range(a, vertices + 1):
-            k = (contains(a, b) - contains(a - 1, b)
-                 - contains(a, b + 1) + contains(a - 1, b + 1))
-            if k:
-                mults[(a, b - a + 1)] = k
-    return QuiverRepClass(mults)
+def _rank_table(kappa: QuiverRepClass, n: int) -> dict:
+    """For each pair of vertices a < b, the number of copies in kappa whose
+    support holds [a, b], i.e. the rank of the composed map a -> b; with the
+    dimensions, this table determines the class (by inclusion-exclusion)."""
+    return {(a, b): sum(k for (i, l), k in kappa.items() if i <= a and b < i + l)
+            for a in range(1, n) for b in range(a + 1, n)}
 
 
 def hall_count(sub: QuiverRepClass, quot: QuiverRepClass,
@@ -183,9 +167,9 @@ def hall_count(sub: QuiverRepClass, quot: QuiverRepClass,
     its support), and every composed edge map vertex a -> vertex b keeps the
     coordinates whose slot also sits at b and drops the rest.  The count walks
     every tuple of subspaces (reduced row-echelon bases) closed under the edge
-    maps and classifies sub and quotient by composed-map ranks.  Only tiny
-    ambients are supported: the vertex dimensions must sum to at most 4 and q
-    must be 2 or 3.
+    maps, counting those whose sub and quotient have the composed-map ranks
+    of the target classes.  Only tiny ambients are supported: the vertex
+    dimensions must sum to at most 4 and q must be 2 or 3.
     """
     if q not in SUPPORTED_FIELD_SIZES:
         raise ValueError(f"field size must be one of {SUPPORTED_FIELD_SIZES}, got {q}")
@@ -215,16 +199,14 @@ def hall_count(sub: QuiverRepClass, quot: QuiverRepClass,
         """The edge map into vertex v sends the span of prev into that of basis."""
         return _rank_mod(list(basis) + carry(prev, v - 1, v), q) == len(basis)
 
+    sub_ranks, quot_ranks = _rank_table(sub, n), _rank_table(quot, n)
+
     def matches(chosen):
-        def sub_rank(a, b):
-            return _rank_mod(carry(chosen[a - 1], a, b), q)
-
-        def quot_rank(a, b):
-            rows = carry(unit_rows(a), a, b) + list(chosen[b - 1])
-            return _rank_mod(rows, q) - sub_dims[b - 1]
-
-        return (_classify_by_ranks(sub_rank, sub_dims, n) == sub
-                and _classify_by_ranks(quot_rank, quot_dims, n) == quot)
+        """Sub and quotient have the target ranks on every composed map."""
+        return all(_rank_mod(carry(chosen[a - 1], a, b), q) == sub_ranks[a, b]
+                   and _rank_mod(carry(unit_rows(a), a, b) + list(chosen[b - 1]), q)
+                   == quot_ranks[a, b] + sub_dims[b - 1]
+                   for a, b in sub_ranks)
 
     partial = [()]  # sub bases at vertices 1..v, closed under the edge maps so far
     for v in range(1, n):

@@ -24,7 +24,10 @@ def total_degree(gamma: DegreeVector) -> int:
 
 
 def check_degree_vector(gamma, rank: int) -> DegreeVector:
-    gamma = tuple(int(d) for d in gamma)
+    given = tuple(gamma)
+    gamma = tuple(map(int, given))
+    if gamma != given:
+        raise ValueError(f"degree vector entries must be integers: {given}")
     if len(gamma) != rank:
         raise ValueError(f"degree vector {gamma} does not have rank {rank}")
     if any(d < 0 for d in gamma):

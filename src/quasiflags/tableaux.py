@@ -26,7 +26,10 @@ class Tableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        given = tuple(map(tuple, rows))
+        rows = tuple(tuple(map(int, row)) for row in given)
+        if rows != given:
+            raise ValueError(f"non-integral entry in rows {given}")
         for j, row in enumerate(rows, start=1):
             if len(row) != j:
                 raise ValueError(f"row {j} must have {j} entries, got {row}")

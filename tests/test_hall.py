@@ -113,25 +113,31 @@ def _sweep(max_n):
                                 yield n, sub, quot, ambient, q
 
 
-# sha256 of the canonical case list below, taken from the frozenset-of-vectors
-# enumeration with 0/1 edge matrices that preceded the echelon-basis one:
-# 2,248 cases, 1,128 of them nonzero
+# sha256 of the canonical case list below, for n <= 4 taken from the
+# frozenset-of-vectors enumeration with 0/1 edge matrices that preceded the
+# echelon-basis one (2,248 cases, 1,128 of them nonzero), for n <= 5 from the
+# Krull-Schmidt classification that preceded the rank-table comparison (7,008
+# cases, 3,176 of them nonzero).  No ambient of dimension <= 4 needs n > 5.
 SWEEP_N4_SHA256 = "80c816499b557a958775318d28a95764c5775b8393bf5ea36a174b90df7126f6"
+SWEEP_N5_SHA256 = "9d4735edca00f847dbe76bd576e5bd74e8b01f8e5f094da778898d62a726b4b0"
 
 
-def test_hall_counts_match_the_pinned_sweep():
+@pytest.mark.parametrize("max_n, cases, nonzero, digest", [
+    (4, 2248, 1128, SWEEP_N4_SHA256),
+    (5, 7008, 3176, SWEEP_N5_SHA256),
+], ids=["n4", "n5"])
+def test_hall_counts_match_the_pinned_sweep(max_n, cases, nonzero, digest):
     counts = {}
     lines = []
-    for n, sub, quot, ambient, q in _sweep(4):
+    for n, sub, quot, ambient, q in _sweep(max_n):
         key = (sub, quot, ambient, q)
         if key not in counts:
             counts[key] = hall_count(sub, quot, ambient, q)
         lines.append(f"{n} {sub.label()} / {quot.label()} / {ambient.label()} "
                      f"q={q}: {counts[key]}")
-    assert len(lines) == 2248
-    assert sum(not line.endswith(": 0") for line in lines) == 1128
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == SWEEP_N4_SHA256
+    assert len(lines) == cases
+    assert sum(not line.endswith(": 0") for line in lines) == nonzero
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def _gaussian_binomial(d, s, q):

@@ -88,6 +88,17 @@ def test_chern_series_n2_product_formula():
         assert chern_series_coefficient(2, (d,), pt) == n2_closed_form(d, pt)
 
 
+def test_row_transfer_n2_product_formula_at_depth():
+    """The row-transfer list through d = 200 against the running product
+    of n2_closed_form's factors (k + m)(k + m - v) / (k (k - v))."""
+    pt = generic_point_n2()
+    v, m = (pt.a[0] - pt.a[1]) / pt.x, pt.m
+    expected = [Fraction(1)]
+    for k in range(1, 201):
+        expected.append(expected[-1] * (k + m) * (k + m - v) / (k * (k - v)))
+    assert chern_series_coefficients(2, 200, pt) == expected
+
+
 def test_chern_series_degree_zero_is_one():
     pt3 = ParameterPoint((Fraction(6), Fraction(1), Fraction(-7)), Fraction(1), Fraction(2, 5))
     assert chern_series_coefficient(3, (0, 0), pt3) == 1

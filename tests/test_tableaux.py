@@ -25,6 +25,27 @@ def test_validity_enforced():
         Tableau([(1, 2)])              # wrong row length
 
 
+def test_non_integral_entries_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match=r"\(\(2\.7,\), \(1, 0\.5\)\)"):
+        Tableau([[2.7], [1, 0.5]])
+    with pytest.raises(ValueError, match=r"\(1, 0\.5\)"):
+        Tableau([[2], [1, 0.5]])
+    with pytest.raises(ValueError, match="Fraction"):
+        Tableau([[Fraction(3, 2)]])
+    # integral values of other types are accepted and stored as ints
+    tab = Tableau([[2.0], [Fraction(1), 0]])
+    assert tab == Tableau([[2], [1, 0]])
+    assert all(type(e) is int for row in tab.rows for e in row)
+
+
+def test_non_integral_degree_vectors_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match=r"\(1\.9, 1\)"):
+        enumerate_fixed_points(3, (1.9, 1))
+    with pytest.raises(ValueError, match=r"\(1\.5, 1\)"):
+        kostant_count((1.5, 1), 3)
+    assert enumerate_fixed_points(3, (1.0, Fraction(1))) == enumerate_fixed_points(3, (1, 1))
+
+
 def test_enumerate_zero_degree():
     for n in (2, 3, 4):
         gamma = (0,) * (n - 1)
