@@ -12,13 +12,16 @@ Internally a character is an integer count map (j, j', k) -> multiplicity of
 a_j - a_{j'} + k x (pair_counts), which the localization kernel reads as it
 is (weight_table only checks one); Character and TorusWeight are built from
 it only for the public API.  The blocks of flag step i depend only on the
-rows d'_i, d_i and d_{i+1} (step_intervals, as signed runs of k), so one
-walk, pair_count_rows, builds every pair map: it expands each step it meets
-once (expand_runs) and sums it once per distinct prefix d'_1, ..., d'_i of
-its columns.  pair_counts is its one-pair case.
+rows d'_i, d_i and d_{i+1} (step_intervals, as signed runs of k), and
+pair_counts is the sum of its n - 1 expanded steps (expand_runs).  The walk
+over many pairs, pair_count_rows, sums packed count vectors instead: a
+CountLayout puts every key in a fixed bit field of one int, so a run packs
+in O(1) big-int operations, each step is packed once, and each prefix
+d'_1, ..., d'_i of the columns costs one int addition per row.
 """
 
-from itertools import accumulate
+from itertools import accumulate, product
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .errors import InternalInconsistency
@@ -52,7 +55,12 @@ class Character:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {w: int(mult) for w, mult in (terms or {}).items() if mult != 0}
+        self.terms = {}
+        for w, mult in (terms or {}).items():
+            if int(mult) != mult:
+                raise ValueError(f"non-integral multiplicity {mult!r} at weight {w}")
+            if mult:
+                self.terms[w] = int(mult)
 
     def __add__(self, other: "Character") -> "Character":
         out = dict(self.terms)
@@ -137,27 +145,98 @@ def expand_runs(runs) -> dict[tuple[int, int, int], int]:
             for k in range(lo + 1, hi + 1)}
 
 
+def _check_rank(tableaux, n: int) -> None:
+    if any(t.n != n for t in tableaux):
+        raise ValueError("tableaux must match the ambient rank n")
+
+
 def pair_counts(d: Tableau, d_prime: Tableau, n: int) -> dict[tuple[int, int, int], int]:
     """Character of the framed-homomorphism bundle over the fixed pair (d, d')
     as a fresh count map (j, j', k) -> multiplicity of a_j - a_{j'} + k x, with
     0-indexed j, j', x-only weights keyed (0, 0, k) and no zero multiplicity:
-    the one-pair case of the walk pair_count_rows, i.e. the sum over steps i
-    of expand_runs(step_intervals(d'_i, d_i, d_{i+1})), with d_n = 0.
+    the sum over steps i of expand_runs(step_intervals(d'_i, d_i, d_{i+1})),
+    with d_n = 0.
     """
-    counts = next(pair_count_rows((d,), (d_prime,), n))[0]
+    _check_rank((d, d_prime), n)
+    rows, counts = d.rows + ((0,) * n,), {}
+    for i, sources in enumerate(d_prime.rows):
+        for key, mult in expand_runs(step_intervals(sources, rows[i], rows[i + 1])).items():
+            counts[key] = counts.get(key, 0) + mult
     return {key: mult for key, mult in counts.items() if mult}
 
 
+class CountLayout:
+    """Count maps (see pair_counts) packed into one int each: the key
+    (j, j', k), 0 <= j, j' < n and -window < k <= window, is the width-bit
+    field at index (j n + j') 2 window + k + window - 1, holding its
+    multiplicity plus 2^(width - 1), and the rank (the sum of all
+    multiplicities) is the unbounded field at rank_shift.  As width =
+    bound.bit_length() + 1, every |multiplicity| <= bound decodes exactly,
+    and no multiplicity is negative exactly when packed & bias == bias."""
+
+    __slots__ = ("n", "window", "width", "rank_shift", "bias", "_repunits")
+
+    def __init__(self, n: int, window: int, bound: int):
+        self.n, self.window, self.width = n, window, bound.bit_length() + 1
+        fields = 2 * window * n * n
+        self.rank_shift = self.width * fields
+        unit = (1 << self.width) - 1
+        self.bias = ((1 << self.rank_shift) - 1) // unit << self.width - 1
+        # a run of `count` fields of 1 each, for every run length in the window
+        self._repunits = [((1 << self.width * count) - 1) // unit
+                          for count in range(2 * window + 1)]
+
+    def field(self, key: tuple[int, int, int]) -> int:
+        j, j_prime, k = key
+        if not (0 <= j < self.n and 0 <= j_prime < self.n
+                and -self.window < k <= self.window):
+            raise InternalInconsistency(
+                f"key {key} outside the layout's k-window ({-self.window}, {self.window}]")
+        return (j * self.n + j_prime) * 2 * self.window + k + self.window - 1
+
+    def pack(self, runs) -> int:
+        """Signed runs (see step_intervals) packed, rank included, bias not:
+        each run is mult times hi - lo unit fields, shifted.  A run outside
+        the window raises rather than spill into the neighbouring block."""
+        n, window, width, repunits = self.n, self.window, self.width, self._repunits
+        packed = rank = 0
+        for j, j_prime, lo, hi, mult in runs:
+            if not (0 <= j < n and 0 <= j_prime < n and -window <= lo < hi <= window):
+                raise InternalInconsistency(
+                    f"run {(j, j_prime, lo, hi, mult)} outside the layout's "
+                    f"k-window ({-window}, {window}]")
+            packed += mult * repunits[hi - lo] << width * ((j * n + j_prime) * 2 * window
+                                                          + lo + window)
+            rank += mult * (hi - lo)
+        return packed + (rank << self.rank_shift)
+
+    def value(self, packed: int, key: tuple[int, int, int]) -> int:
+        """The multiplicity of key in a packed count map (bias included)."""
+        mask, half = (1 << self.width) - 1, 1 << self.width - 1
+        return (packed >> self.width * self.field(key) & mask) - half
+
+    def decode(self, packed: int) -> dict[tuple[int, int, int], int]:
+        """A packed count map (bias included) as a count map with no zero multiplicity."""
+        mask, half, width = (1 << self.width) - 1, 1 << self.width - 1, self.width
+        keys = product(range(self.n), range(self.n), range(1 - self.window, self.window + 1))
+        values = ((packed >> width * f & mask) - half
+                  for f in range(self.rank_shift // width))
+        return {key: v for key, v in zip(keys, values) if v}
+
+
 def pair_count_rows(tableaux, columns, n: int):
-    """For each d in tableaux, in order, the count maps (see pair_counts) of
-    (d, d') for every d' in columns, in order; a map may keep a key that
-    cancelled to 0, and equal d' share one map.  The distinct row prefixes of
-    the columns are laid out once, one layer per flag step, as (parent index,
-    row); for each d a prefix's map is a copy of its parent's plus one step,
-    so a step is summed once per prefix, not once per pair, and expanded once
-    per call."""
-    if any(t.n != n for t in (*tableaux, *columns)):
-        raise ValueError("tableaux must match the ambient rank n")
+    """(layout, rows): for each d in tableaux, in order, rows yields the
+    count maps (see pair_counts) of (d, d') for every d' in columns, in
+    order, packed under layout (a CountLayout), bias included.
+
+    The distinct row prefixes of the columns are laid out once, one layer per
+    flag step, as (parent index, row).  Each step from a source row of layer
+    i and a pair (d_i, d_{i+1}) of the tableaux is packed once; a row then
+    walks the layers, each prefix's map its parent's plus one packed step.
+    The window is the largest tableau entry (at least 1), so every k fits,
+    and the bound is the sum over layers of the largest |mult| of the
+    layer's runs, which bounds any sum of one step per layer."""
+    _check_rank((*tableaux, *columns), n)
     layers: list[dict[tuple[int, tuple[int, ...]], int]] = [{} for _ in range(n - 1)]
     leaves = []
     for t in columns:
@@ -165,22 +244,35 @@ def pair_count_rows(tableaux, columns, n: int):
         for layer, row in zip(layers, t.rows):
             parent = layer.setdefault((parent, row), len(layer))
         leaves.append(parent)
-    zero, steps = (0,) * n, {}
-    for d in tableaux:
-        rows, maps = d.rows + (zero,), [{}]
-        for i, layer in enumerate(layers):
-            grown = []
-            for parent, sources in layer:
-                step = (sources, rows[i], rows[i + 1])
-                pairs = steps.get(step)
-                if pairs is None:
-                    pairs = steps[step] = expand_runs(step_intervals(*step))
-                acc = maps[parent].copy()
-                for key, mult in pairs.items():
-                    acc[key] = acc.get(key, 0) + mult
-                grown.append(acc)
-            maps = grown
-        yield [maps[leaf] for leaf in leaves]
+    zero = (0,) * n
+    rows = [d.rows + (zero,) for d in tableaux]
+    heads = [list(map(itemgetter(1), layer)) for layer in layers]  # each prefix's last row
+    # per layer: (d_i, d_{i+1}) of a tableau -> each distinct source row -> the step's runs
+    steps = [{pair: dict.fromkeys(sources) for pair in {(r[i], r[i + 1]) for r in rows}}
+             for i, sources in enumerate(heads)]
+    for block in steps:
+        for pair, by_source in block.items():
+            for sources in by_source:
+                by_source[sources] = step_intervals(sources, *pair)
+    window = max((e for t in (*tableaux, *columns) for row in t.rows for e in row), default=0)
+    bound = sum(max((abs(mult) for by_source in block.values()
+                     for runs in by_source.values() for *_, mult in runs), default=0)
+                for block in steps)
+    layout = CountLayout(n, max(window, 1), bound)
+    # per layer: (d_i, d_{i+1}) -> the packed step of each prefix
+    columns_of = [{pair: list(map({s: layout.pack(runs) for s, runs in by_source.items()}
+                                  .__getitem__, sources))
+                   for pair, by_source in block.items()}
+                  for sources, block in zip(heads, steps)]
+    parents = [list(map(itemgetter(0), layer)) for layer in layers]
+
+    def walk():
+        for r in rows:
+            maps = [layout.bias]
+            for i, (above, block) in enumerate(zip(parents, columns_of)):
+                maps = list(map(add, map(maps.__getitem__, above), block[r[i], r[i + 1]]))
+            yield list(map(maps.__getitem__, leaves))
+    return layout, walk()
 
 
 def pair_character(d: Tableau, d_prime: Tableau, n: int) -> Character:

@@ -39,7 +39,11 @@ class QuiverRepClass:
         clean = {}
         items = mults.items() if isinstance(mults, dict) else mults
         for (i, l), k in items:
-            i, l, k = int(i), int(l), int(k)
+            given = (i, l, k)
+            i, l, k = map(int, given)
+            if (i, l, k) != given:
+                raise ValueError(f"non-integral entry in [{given[0]}; {given[1]}] "
+                                 f"with multiplicity {given[2]}")
             if i < 1 or l < 1:
                 raise ValueError(f"bad indecomposable label [{i}; {l}]")
             if k < 0:
@@ -221,7 +225,11 @@ def candidate_classes(dim_vector, n: int) -> list[QuiverRepClass]:
     label: one label (i, l) at a time, each partial class takes every
     multiplicity its support leaves room for, and once the labels starting
     at vertex i are done, only the partial classes that fill vertex i stay."""
-    partial = [((), tuple(int(d) for d in dim_vector))]  # (multiplicities, dimensions left)
+    given = tuple(dim_vector)
+    dims = tuple(map(int, given))
+    if dims != given:
+        raise ValueError(f"non-integral entry in dimension vector {given}")
+    partial = [((), dims)]  # (multiplicities, dimensions left)
     for i in range(1, n):
         for l in range(1, n - i + 1):
             span = range(i - 1, i + l - 1)

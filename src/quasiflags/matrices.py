@@ -9,7 +9,12 @@ commutators, of equal sizes only.  Every integral entry is stored as an int
 from fractions import Fraction
 
 
+_INT = {int}
+
+
 def _exact(e):
+    if type(e) is int:
+        return e
     e = Fraction(e)
     return e.numerator if e.denominator == 1 else e
 
@@ -20,10 +25,10 @@ class Matrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(e if type(e) is int else _exact(e) for e in row)
-                     for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
+        # an all-int row, what products of int matrices give, is stored as it is
+        rows = tuple(row if _INT.issuperset(map(type, row)) else tuple(map(_exact, row))
+                     for row in map(tuple, rows))
+        if not {len(rows)}.issuperset(map(len, rows)):
             raise ValueError("matrix must be square")
         self.rows = rows
 

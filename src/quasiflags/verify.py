@@ -16,7 +16,6 @@ the row-transfer lists (chern_series_coefficients, volume_coefficients).
 """
 
 from fractions import Fraction
-from itertools import chain
 
 from .characters import pair_count_rows, pair_counts, shift_defect, weight_table
 from .errors import InternalInconsistency, NonGenericParameter
@@ -228,15 +227,16 @@ def _character_record(n, max_degree) -> dict:
     for nn in range(2, n + 1):
         points = [t for g in degree_vectors(nn - 1, bound) for t in enumerate_fixed_points(nn, g)]
         sizes = [sum(t.degree()) for t in points]
-        rows = pair_count_rows(points, points, nn)
+        layout, rows = pair_count_rows(points, points, nn)
+        ranks, bias = layout.rank_shift.__rrshift__, layout.bias
         for i, (d, size, row) in enumerate(zip(points, sizes, rows)):
             pairs += len(row)
-            values = list(map(dict.values, row))
-            if (list(map(sum, values)) == list(map(size.__add__, sizes))
-                    and min(chain.from_iterable(values), default=0) >= 0
-                    and not row[i].get((0, 0, 0))):
+            # packed maps: the rank field, every field's sign bit, the zero weight
+            if (list(map(ranks, row)) == list(map(size.__add__, sizes))
+                    and all(map(bias.__eq__, map(bias.__and__, row)))
+                    and not layout.value(row[i], (0, 0, 0))):
                 continue  # the row holds; the pair loop below names a failing row's faults
-            for dp, size_p, counts in zip(points, sizes, row):
+            for dp, size_p, counts in zip(points, sizes, map(layout.decode, row)):
                 total = sum(counts.values())
                 expected = size + size_p
                 if total != expected:
@@ -248,7 +248,7 @@ def _character_record(n, max_degree) -> dict:
                     except InternalInconsistency as exc:
                         witnesses.append(
                             f"n={nn} at ({d.as_flat_list()}, {dp.as_flat_list()}): {exc}")
-                if d is dp and counts.get((0, 0, 0)):  # a tangent space; 0 keys may stay
+                if d is dp and counts.get((0, 0, 0)):  # a tangent space
                     witnesses.append(f"n={nn} tangent failure at {d.as_flat_list()}: "
                                      f"zero weight in tangent space of {d}")
     return _record("pair characters have bundle rank, no negative multiplicity; "

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quasiflags.characters as characters
-from quasiflags.characters import (Character, TorusWeight, geom_block,
+from quasiflags.characters import (Character, CountLayout, TorusWeight, geom_block,
                                    pair_character, pair_count_rows, pair_counts, pair_weight,
                                    shift_defect, tangent_table, tangent_weights,
                                    weight_table)
@@ -20,6 +21,19 @@ def test_geom_block_small_cases():
     assert geom_block(-3) == Character({TorusWeight((), 0): -1,
                                         TorusWeight((), -1): -1,
                                         TorusWeight((), -2): -1})
+
+
+def test_non_integral_multiplicities_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match=r"non-integral multiplicity 0\.5"):
+        Character({TorusWeight((1, -1), 0): 0.5, TorusWeight((0, 0), 1): 2.7})
+    with pytest.raises(ValueError, match=r"non-integral multiplicity 2\.7"):
+        Character({TorusWeight((0, 0), 1): 2.7})
+    with pytest.raises(ValueError, match="Fraction"):
+        Character({TorusWeight((0, 0), 1): Fraction(1, 3)})
+    # integral values of other types are stored as ints, zeros dropped after the check
+    char = Character({TorusWeight((0, 0), 1): 2.0, TorusWeight((0, 0), 2): Fraction(0)})
+    assert char.terms == {TorusWeight((0, 0), 1): 2}
+    assert all(type(m) is int for m in char.terms.values())
 
 
 def test_geom_block_total_multiplicity():
@@ -223,25 +237,77 @@ def test_step_block_pair_counts_match_direct_loop(case):
         assert pair_counts(first, second, n) == expected
 
 
+def every_pair_case(n):
+    tabs = [t for g in degree_vectors(n - 1, 5) for t in enumerate_fixed_points(n, g)]
+    return tabs, tabs, n
+
+
+def decoded_rows(tableaux, columns, n):
+    layout, rows = pair_count_rows(tableaux, columns, n)
+    return [list(map(layout.decode, row)) for row in rows]
+
+
 def test_pair_count_rows_match_the_direct_loop_on_every_pair():
-    """The shared-prefix walk, its cancelled keys dropped, is the direct block
-    loop on every ordered pair with row sums <= 5, and on rows that are not
-    its columns: row sums <= 3 against every row sum <= 5, reversed."""
-    cases = []
-    for n in (2, 3, 4):
-        tabs = [t for g in degree_vectors(n - 1, 5) for t in enumerate_fixed_points(n, g)]
-        cases.append((tabs, tabs, n))
+    """The shared-prefix walk, decoded, is the direct block loop on every
+    ordered pair with row sums <= 5, and on rows that are not its columns:
+    row sums <= 3 against every row sum <= 5, reversed."""
+    cases = [every_pair_case(n) for n in (2, 3, 4)]
     n = 3
     rows = [t for g in degree_vectors(n - 1, 3) for t in enumerate_fixed_points(n, g)]
     columns = [t for g in degree_vectors(n - 1, 5) for t in enumerate_fixed_points(n, g)][::-1]
     cases.append((rows, columns, n))
     for tableaux, columns, n in cases:
-        maps = list(pair_count_rows(tableaux, columns, n))
+        maps = decoded_rows(tableaux, columns, n)
         assert len(maps) == len(tableaux)
         for d, row in zip(tableaux, maps):
             assert len(row) == len(columns)
             for dp, counts in zip(columns, row):
-                assert {k: m for k, m in counts.items() if m} == direct_pair_counts(d, dp, n)
+                assert counts == direct_pair_counts(d, dp, n)
+
+
+def test_pair_counts_is_the_decoded_walk_on_every_pair():
+    """pair_counts, the plain sum of a pair's expanded steps, and the packed
+    walk give the same map on every ordered pair with n <= 4, row sums <= 5;
+    the walk's rank field is each map's total multiplicity."""
+    for tableaux, columns, n in map(every_pair_case, (2, 3, 4)):
+        layout, rows = pair_count_rows(tableaux, columns, n)
+        for d, row in zip(tableaux, rows):
+            for dp, packed in zip(columns, row):
+                counts = pair_counts(d, dp, n)
+                assert layout.decode(packed) == counts
+                assert packed >> layout.rank_shift == sum(counts.values())
+
+
+def test_count_layout_round_trips_the_bound_at_the_first_and_last_fields():
+    """Multiplicities +-bound at the first key (0, 0, 1 - window) and the last
+    key (n - 1, n - 1, window) decode exactly, next to each other and next to
+    the rank field, and set the sign bits of their own fields only."""
+    for n, window, bound in ((2, 1, 1), (3, 4, 7), (4, 5, 8), (5, 2, 1000)):
+        layout = CountLayout(n, window, bound)
+        first, last = (0, 0, 1 - window), (n - 1, n - 1, window)
+        assert (layout.field(first), layout.field(last)) == (0, 2 * window * n * n - 1)
+        for a, b in ((bound, -bound), (-bound, bound), (bound, bound), (-bound, -bound)):
+            runs = [(0, 0, -window, 1 - window, a), (n - 1, n - 1, window - 1, window, b)]
+            packed = layout.bias + layout.pack(runs)
+            assert layout.decode(packed) == {first: a, last: b}
+            assert (layout.value(packed, first), layout.value(packed, last)) == (a, b)
+            assert packed >> layout.rank_shift == a + b
+            assert (packed & layout.bias == layout.bias) == (a >= 0 and b >= 0)
+        assert layout.decode(layout.bias) == {}
+
+
+@pytest.mark.parametrize("run, key", [
+    ((0, 1, -4, 0, 1), (0, 1, -3)),  # k = -3 lies below the window (-3, 3]
+    ((1, 0, 2, 4, -1), (1, 0, 4)),   # k = 4 lies above it
+    ((0, 3, 0, 1, 1), (0, 3, 1)),    # j' = 3 is no summand at n = 3
+    ((3, 0, 0, 1, 1), (3, 0, 1)),
+])
+def test_a_run_outside_the_window_raises(run, key):
+    layout = CountLayout(3, 3, 2)
+    with pytest.raises(InternalInconsistency, match="outside the layout"):
+        layout.pack([(0, 0, 0, 1, 1), run])
+    with pytest.raises(InternalInconsistency, match="outside the layout"):
+        layout.field(key)
 
 
 def reference_step_counts(sources, upper, lower):
@@ -278,21 +344,6 @@ def test_step_runs_expand_to_the_per_k_block_loop():
         assert table == reference_step_counts(*step)
 
 
-def test_pair_counts_reads_the_prefix_walk(monkeypatch):
-    """pair_counts is the two-point case of pair_count_rows, not a second loop."""
-    calls = []
-    original = characters.pair_count_rows
-
-    def recorder(tableaux, columns, n):
-        calls.append((tuple(tableaux), tuple(columns)))
-        return original(tableaux, columns, n)
-
-    monkeypatch.setattr(characters, "pair_count_rows", recorder)
-    d, d_prime = Tableau([(2,), (0, 1)]), Tableau([(1,), (1, 0)])
-    assert pair_counts(d, d_prime, 3) == direct_pair_counts(d, d_prime, 3)
-    assert calls == [((d,), (d_prime,))]
-
-
 def test_pair_counts_expands_each_step_once(monkeypatch):
     """pair_counts walks its own pair only: one step_intervals call per flag
     step, three at n = 4."""
@@ -312,9 +363,11 @@ def test_pair_counts_expands_each_step_once(monkeypatch):
 
 def test_pair_count_rows_rejects_a_foreign_rank():
     with pytest.raises(ValueError):
-        next(pair_count_rows([Tableau.zero(3)], [Tableau.zero(2)], 2))
+        pair_count_rows([Tableau.zero(3)], [Tableau.zero(2)], 2)
     with pytest.raises(ValueError):
-        next(pair_count_rows([Tableau.zero(2)], [Tableau.zero(3)], 2))
+        pair_count_rows([Tableau.zero(2)], [Tableau.zero(3)], 2)
+    with pytest.raises(ValueError):
+        pair_counts(Tableau.zero(2), Tableau.zero(3), 2)
 
 
 # -- differential test of the integer count map ------------------------------

@@ -167,6 +167,20 @@ def test_semisimple_ambient_counts_are_gaussian_binomials():
                     assert total == expected, (dims, s, q)
 
 
+def test_non_integral_input_is_rejected_not_truncated():
+    with pytest.raises(ValueError, match=r"non-integral entry in \[1\.7; 2\.2\]"):
+        QuiverRepClass({(1.7, 2.2): 1.5})
+    with pytest.raises(ValueError, match=r"multiplicity 1\.5"):
+        QuiverRepClass({(1, 2): 1.5})
+    with pytest.raises(ValueError, match=r"\(1\.5, 1\)"):
+        candidate_classes((1.5, 1), 3)
+    # integral values of other types are accepted and stored as ints
+    assert QuiverRepClass({(1.0, Fraction(2)): 1.0}) == QuiverRepClass({(1, 2): 1})
+    assert all(type(x) is int for key, k in QuiverRepClass({(1.0, 2.0): 2.0}).mults.items()
+               for x in (*key, k))
+    assert candidate_classes((1.0, Fraction(1)), 3) == candidate_classes((1, 1), 3)
+
+
 def test_candidate_classes_dimension_vector():
     found = candidate_classes((1, 1), 3)
     labels = {c.label() for c in found}

@@ -27,6 +27,9 @@ GOLDEN = [
     # pair characters at ranks 2..5: 106,796 pairs
     ("properties --n 5 --max-degree 5 --seed 3",
      "d22e55e1606dc4923951b0f9798fb998ae096a785ce1b7a3efb290d4705ee437"),
+    # pair characters at ranks 2..6: 496,172 pairs
+    ("properties --n 6 --max-degree 5 --seed 3",
+     "b51bfa040e69ffb47a16ceda656f3c2e21dcd1007f5d07d9598bf3b93482157d"),
     # n=8: many fixed points share flag-step rows
     ("verify-main --n 8 --max-degree 3 --trials 1 --seed 1",
      "ed4c181f327ebbe10673f121263f9751f217a8d29ffb5c9153485ecb4f8ea7ec"),
