@@ -83,6 +83,14 @@ GOLDEN = [
      "c8a09d2e28d8d561499244c9e5a7abc7ff232b1e06213c1d5148bb4d12eda04d"),
     ("inspect fixed-points --n 4 --gamma 2,1,1",
      "fcd6563d41b8f691646a45ed9b841dd4e84c4c36c824fc502f38bc1915607f74"),
+    # empty containers: "weights": [] at the top, "terms": [] beside flat
+    # lists, "limit_diagnostics": [] inside a trial
+    ("inspect tangent-weights --n 2 --tableau 0",
+     "d687a04c57c9fa4f6da901a1351de55fa5e09ca1dbcb72ed865c9504940a71bf"),
+    ("inspect character --n 2 --tableau 0 --tableau2 0",
+     "8655f2639870689cc98005672919829572a9447884c2857043c66b73f0b20465"),
+    ("verify-toda --n 2 --max-degree 0 --trials 1",
+     "e7e7fc7e9e8b479e896f15a4205f8782aeb84fd6ec9ff538c500049f4ef032be"),
     # explicit points with x != 1: the strong-coupling targets are rescaled
     ("verify-toda --n 3 --max-degree 6 --trials 1 --a 5/3,1/2,-13/6 --x 2",
      "5d1abad2acb01a927b39b3e613acd0661207e9e434f80bfed3c26a0891c864aa"),
