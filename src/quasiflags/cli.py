@@ -16,11 +16,12 @@ failure, 2 genericity exhausted, 3 usage error, 4 report not written
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain
 
 from .eigenfunctions import cs_coefficients, cs_product_series, toda_coefficients
 from .errors import NonGenericParameter
@@ -145,15 +146,50 @@ def build_parser() -> _Parser:
     return parser
 
 
+_SCALARS = frozenset((str, int, bool, float, type(None)))
+_ROWS = 1024  # flat dicts per encode call: bounds each piece of a long list
+
+
 def _emit(document: dict) -> None:
-    """Write json.dumps(document, indent=2, sort_keys=True) + newline in pieces
-    of 4096 tokens: never the whole report at once, nor one write per token."""
+    """Write json.dumps(document, indent=2, sort_keys=True) + newline, byte for
+    byte, in pieces: one per flat container (every child a scalar) and one per
+    _ROWS rows of a list of flat dicts, each encoded by CPython's C encoder,
+    which an indent would turn off.  Its item separator carries the newline and
+    indent; the others are spliced in (an encoded string holds no newline)."""
     if sys.stdout is None:  # descriptor 1 was closed before start-up
         raise OSError("standard output is closed")
-    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
-    while piece := "".join(islice(tokens, 4096)):
-        sys.stdout.write(piece)
-    sys.stdout.write("\n")
+    write = sys.stdout.write
+    encoder = functools.cache(lambda depth: json.JSONEncoder(  # items at depth
+        sort_keys=True, check_circular=False,  # it sees flat values: no cycles
+        separators=(",\n" + "  " * depth, ": ")).encode)
+    stack = [(document, 0)]  # text to write, or (value, indent level); keys are str
+    while stack:
+        if type(item := stack.pop()) is str:
+            write(item)
+            continue
+        value, depth = item
+        pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+        is_dict = isinstance(value, dict)
+        if not (is_dict or isinstance(value, (list, tuple))) or not value:
+            write(encoder(depth)(value))
+        elif _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+            text = encoder(depth + 1)(value)
+            write(text[0] + inner + text[1:-1] + pad + text[-1])
+        elif (not is_dict and set(map(type, value)) == {dict} and all(value)
+              and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, value))))):
+            inner2 = inner + "  "
+            for start in range(0, len(value), _ROWS):
+                text = encoder(depth + 2)(value[start:start + _ROWS])[2:-2]
+                write(("," if start else "[") + inner + "{" + inner2 + text.replace(
+                    "}," + inner2 + "{", inner + "}," + inner + "{" + inner2) + inner + "}")
+            write(pad + "]")
+        else:  # children in order, each after its separator (and key)
+            stack.append(pad + ("}" if is_dict else "]"))
+            for key in reversed(sorted(value) if is_dict else range(len(value))):
+                stack += ((value[key], depth + 1),
+                          "," + inner + (encoder(0)(key) + ": " if is_dict else ""))
+            stack[-1] = ("{" if is_dict else "[") + stack[-1][1:]
+    write("\n")
     sys.stdout.flush()  # a failed write raises OSError here, not at exit
 
 

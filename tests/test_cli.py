@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quasiflags.cli as cli
 import quasiflags.verify as verify
@@ -31,9 +34,69 @@ def test_report_is_written_as_the_dumps_bytes(capsys):
     _, out, _ = run_cli(capsys, "verify-main", "--n", "3", "--max-degree", "12",
                         "--trials", "5", "--seed", "5")
     report = verify_main(3, 12, 5, 5)
-    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-    assert sum(1 for _ in tokens) > 2 * 4096     # _emit writes three pieces
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # a main-wide-size report goes out in pieces, none of them the whole report
+    writes = emitted_writes(verify_main(8, 5, 3, 1))
+    assert len(writes) > 1
+    assert max(map(len, writes)) < len("".join(writes))
+
+
+class _Recorder(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def emitted_writes(document) -> list[str]:
+    """The pieces cli._emit writes to standard output for document."""
+    stream = _Recorder()
+    with contextlib.redirect_stdout(stream):
+        cli._emit(document)
+    return stream.writes
+
+
+def assert_emits_the_dumps_bytes(document):
+    assert "".join(emitted_writes(document)) == json.dumps(
+        document, indent=2, sort_keys=True) + "\n"
+
+
+TRICKY = ["}", "{", ",", '"', "\n", "é", "\ud800", "},\n      {", 'a"}, {"b']
+FLAT = {"equal": True, "gamma": "1,0", "lhs": "-3/7", "rhs": "-3/7"}
+
+
+@pytest.mark.parametrize("document", [
+    {}, [], "text", 7, None,
+    {"a": {}, "b": [], "c": [[], {}], "d": [{}], "e": {"f": {}, "g": []}},
+    [FLAT, {}, FLAT],                     # a list of flat dicts holding an empty dict
+    [{"a": {}}], [[FLAT]], [FLAT, {"x": [1]}],
+    [[1, 2], [3], [[4, 5], [6]], ["x"]],  # nested lists of flat lists
+    {"tuples": (1, (2, ()), (FLAT, FLAT), [(FLAT,)])},
+    {"none": None, "yes": True, "no": False, "big": -3 ** 200, "float": 0.1, "int": 0},
+    {key: [key, {key: key}] for key in TRICKY},
+    {"rows": [{key: key for key in TRICKY}, dict.fromkeys(TRICKY)] * 3},
+    {"rows": [FLAT] * (2 * cli._ROWS + 5), "tail": [FLAT]},
+], ids=lambda document: repr(document)[:40])
+def test_emit_writes_the_dumps_bytes(document):
+    assert_emits_the_dumps_bytes(document)
+
+
+_text = st.one_of(st.sampled_from(TRICKY), st.text(
+    st.one_of(st.characters(), st.sampled_from("}{,\"\né\ud800")), max_size=6))
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.recursive(_scalars, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.dictionaries(_text, children, max_size=4),
+    st.lists(st.dictionaries(_text, _scalars, min_size=1, max_size=3), min_size=1, max_size=3),
+), max_leaves=20))
+def test_emit_matches_dumps_on_random_documents(document):
+    assert_emits_the_dumps_bytes(document)
 
 
 def test_verify_toda_command(capsys):
