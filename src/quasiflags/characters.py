@@ -293,12 +293,6 @@ def weight_table(counts: dict[tuple[int, int, int], int]) -> dict[tuple[int, int
     return counts
 
 
-def table_weights(table: dict[tuple[int, int, int], int], n: int) -> tuple[TorusWeight, ...]:
-    """Expand a weight table into its weight multiset, sorted as TorusWeights."""
-    return tuple(sorted(w for (j, j_prime, k), mult in table.items()
-                        for w in [pair_weight(j + 1, j_prime + 1, k, n)] * mult))
-
-
 def tangent_table(d: Tableau, n: int) -> dict[tuple[int, int, int], int]:
     """Weight table (see weight_table) of the tangent space at the fixed point
     d.  The diagonal character must be a genuine representation of dimension
@@ -315,8 +309,10 @@ def tangent_table(d: Tableau, n: int) -> dict[tuple[int, int, int], int]:
 
 
 def tangent_weights(d: Tableau, n: int) -> tuple[TorusWeight, ...]:
-    """Sorted weight multiset of the tangent space at d, from tangent_table."""
-    return table_weights(tangent_table(d, n), n)
+    """The weight table of tangent_table expanded into its weight multiset,
+    sorted as TorusWeights: the public view, which no kernel reads."""
+    return tuple(sorted(w for (j, j_prime, k), mult in tangent_table(d, n).items()
+                        for w in [pair_weight(j + 1, j_prime + 1, k, n)] * mult))
 
 
 def shift_defect(d: Tableau, d_prime: Tableau, m: int, n: int) -> Character:

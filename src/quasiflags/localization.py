@@ -6,7 +6,7 @@ an exact rational parameter point.  Scaled by the lcm L of the denominators
 of a/x and m, each weight becomes an integer, so a product of weights costs
 one Fraction; nothing is expanded into polynomials.  A vanishing denominator
 weight is reported as NonGenericParameter so the caller can resample the
-point.
+point; it is named from the same integers that found it.
 
 There are two evaluations of the same sums.  The per-point kernel,
 weight_ratio, reads the count maps of characters.pair_counts as they are,
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import characters
-from .characters import TorusWeight, pair_counts, table_weights, tangent_table, weight_table
+from .characters import TorusWeight, pair_counts, pair_weight, tangent_table, weight_table
 from .errors import InternalInconsistency, NonGenericParameter
 from .roots import check_zero_sum
 from .series import degree_vectors
@@ -108,13 +108,15 @@ def weight_ratio(numerator: dict, denominator: dict, pt: ParameterPoint) -> Frac
     """prod over the numerator count map of (w + m x)^mult divided by the
     product over the denominator map of w^mult (maps checked by
     characters.weight_table); one map passed as both sides gives the Chern
-    ratio prod ((w + m x) / w)^mult in one pass.  Raises NonGenericParameter,
-    naming the first vanishing denominator weight in TorusWeight order, when
-    one vanishes."""
+    ratio prod ((w + m x) / w)^mult in one pass.  Raises NonGenericParameter
+    when a denominator weight vanishes, naming the least such TorusWeight,
+    read off the integers V = 0 that _products multiplied."""
     chern = numerator is denominator
     top, bottom = _products(denominator, pt, chern)
     if bottom == 0:
-        w = next(w for w in table_weights(denominator, pt.n) if evaluate_weight(w, pt) == 0)
+        u, scale, _ = pt.integer_scaling
+        w = min(pair_weight(j + 1, j_prime + 1, k, pt.n) for (j, j_prime, k), mult
+                in denominator.items() if mult > 0 and u[j] - u[j_prime] + k * scale == 0)
         raise NonGenericParameter(f"weight {w} vanishes at {pt}")
     if chern:
         return Fraction(top, bottom)

@@ -83,8 +83,8 @@ def _run_trials(command, n, max_degree, trials, seed, explicit_point, coupling,
     fixed_point_side(n, max_degree, pt) with analytic_side(checked, pt) row
     by row, then, if given, adds diagnostics(n, max_degree, pt, rhs, labels)
     as the limit diagnostics.  The gamma labels are rendered once per run,
-    and an equal pair once."""
-    labels = [format_gamma(g) for g in degree_vectors(n - 1, max_degree)]
+    from the lattice check_nonresonant caches, and an equal pair once."""
+    labels = [format_gamma(g) for g in root_lattice(n, max_degree).vectors]
 
     def compute(pt: ParameterPoint) -> dict:
         # resonance first, then the fixed-point side: a non-generic point is
@@ -373,7 +373,8 @@ def _strong_coupling_record(n, rng) -> dict:
                 continue
             ratios = [c[i] / Fraction(m) ** (2 * size) / vol[i] for c, m in zip(chern, couplings)]
             if not abs(ratios[1] - 1) < abs(ratios[0] - 1):
-                found.append(f"gamma={format_gamma(gamma)}: ratios {ratios}")
+                found.append(f"gamma={format_gamma(gamma)}: ratios "
+                             + ", ".join(map(format_rational, ratios)))
         return found
 
     _, _, witnesses = _first_generic(rng, n, lambda rng: 0, attempt)

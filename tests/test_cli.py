@@ -252,6 +252,12 @@ def test_inspect_series_denominator(capsys):
     # the stream keeps 64 bits: these would alias seeds 1 and 2^64 - 1
     ["verify-main", "--seed", "18446744073709551617"],
     ["verify-main", "--seed", "-1"],
+    # malformed or mis-sized explicit points and inspect inputs
+    ["verify-main", "--n", "2", "--a", "1,-1", "--m", "1/0"],
+    ["inspect", "fixed-points", "--n", "3", "--gamma", "1,x"],
+    ["verify-main", "--n", "3", "--a", "1,-1", "--m", "1"],
+    ["verify-main", "--n", "2", "--a", "1,x", "--m", "1"],
+    ["verify-toda", "--n", "2", "--a", "1,-1", "--x", "abc"],
 ])
 def test_usage_errors_exit_3_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasiflags import characters, localization
-from quasiflags.characters import TorusWeight, pair_character, tangent_weights
+from quasiflags.characters import TorusWeight, pair_character, pair_weight, tangent_weights
 from quasiflags.errors import InternalInconsistency, NonGenericParameter
 from quasiflags.localization import (ParameterPoint, _products, _step_factors,
                                      _transfer_table,
@@ -433,3 +433,62 @@ def test_row_transfer_evaluates_no_weight_per_key(monkeypatch):
         monkeypatch.undo()
         localization._transfer_table.cache_clear()
     assert again == expected
+
+
+# -- naming the vanishing weight ----------------------------------------------
+
+def old_naming(table, pt):
+    """The oracle: the weight table expanded into sorted TorusWeights, each
+    evaluated as a Fraction, and the first one that vanishes named."""
+    weights = sorted(w for (j, j_prime, k), mult in table.items()
+                     for w in [pair_weight(j + 1, j_prime + 1, k, pt.n)] * mult)
+    return next((f"weight {w} vanishes at {pt}" for w in weights
+                 if evaluate_weight(w, pt) == 0), None)
+
+
+def raised_text(fn, *args):
+    try:
+        fn(*args)
+    except NonGenericParameter as exc:
+        return str(exc)
+    return None
+
+
+def naming_points(n):
+    """a/x = 0 (every a_j - a_j' vanishes), two points where a few weights
+    vanish (one with x = -2/3, so L = 2), and one where none does."""
+    pad = (0,) * (n - 2)
+    spread = [Fraction(10 ** i, 7) for i in range(n)]  # differences never integral
+    rows = [((0,) * n, 1), ((1, *pad, -1), 1), ((Fraction(1, 2), Fraction(-1, 2), *pad),
+                                                 Fraction(-2, 3)),
+            ([c - sum(spread) / n for c in spread], 1)]
+    return [ParameterPoint(tuple(Fraction(c) * x for c in a), x, Fraction(3, 2))
+            for a, x in rows]
+
+
+def test_vanishing_weight_is_named_as_the_sorted_expansion_names_it(monkeypatch):
+    """chern_ratio, chern_matrix_element, volume_coefficient and
+    twist_constant name the same weight as the sorted TorusWeight expansion
+    with evaluate_weight, which the kernel no longer calls, at every fixed
+    point with |gamma| <= 3 for n <= 4."""
+    monkeypatch.setattr(localization, "evaluate_weight", None)
+    vanishing = set()
+    for n in (2, 3, 4):
+        zero = Tableau.zero(n)
+        for pt in naming_points(n):
+            for m in (1, 2, 3):
+                table = characters.weight_table(characters.pair_counts(zero, zero.shift(m), n))
+                assert raised_text(twist_constant, n, m, pt) == old_naming(table, pt)
+            for gamma in degree_vectors(n - 1, 3):
+                first = None
+                for d in enumerate_fixed_points(n, gamma):
+                    table = characters.tangent_table(d, n)
+                    expected = old_naming(table, pt)
+                    vanishing.add(sum(evaluate_weight(pair_weight(j + 1, j_prime + 1, k, n), pt)
+                                      == 0 for j, j_prime, k in table))
+                    assert raised_text(chern_ratio, d, pt) == expected
+                    for other in (zero, d):
+                        assert raised_text(chern_matrix_element, d, other, pt) == expected
+                    first = first or expected
+                assert raised_text(volume_coefficient, n, gamma, pt) == first
+    assert {0, 1} < vanishing  # tables with none, one and several vanishing weights

@@ -504,3 +504,119 @@ def test_series_records_enumerate_no_fixed_points(monkeypatch, seed):
     assert verify._coupling_zero_record(3, 3, SplitMix64(seed))["passed"]
     assert verify._scaling_record(3, 3, SplitMix64(seed))["passed"]
     assert verify._strong_coupling_record(3, SplitMix64(seed))["passed"]
+
+
+def test_verify_runs_label_from_the_built_lattice(monkeypatch):
+    """The gamma labels come from the lattice the resonance check builds,
+    so a verify run enumerates no degree vectors of its own."""
+    def forbidden(*args):
+        raise AssertionError("degree vectors enumerated again")
+
+    monkeypatch.setattr(verify, "degree_vectors", forbidden)
+    for run in (verify_main, verify_toda):
+        report = run(3, 4, trials=2, seed=1)
+        assert report["verdict"] == "pass"
+        for trial in report["trials"]:
+            assert [row["gamma"] for row in trial["comparisons"]] == [
+                verify.format_gamma(g) for g in degree_vectors(2, 4)]
+
+
+def _baseline_shifted(original):
+    """shift_defect with each ninth call, the zero-pair baseline after a
+    record's eight sample pairs, shifted by x."""
+    calls = []
+
+    def patched(d, d_prime, m, n):
+        calls.append(m)
+        defect = original(d, d_prime, m, n)
+        return defect.shift_x(1) if len(calls) % 9 == 0 else defect
+    return patched
+
+
+def _plus(extra):
+    return lambda original: lambda *args: original(*args) + extra
+
+
+def _raising(exc):
+    def patched(*args):
+        raise exc
+    return lambda original: patched
+
+
+def _algebra(index):
+    return lambda: verify._algebra_records(3, SplitMix64(1))[index]
+
+
+# (record, {name in verify: original -> replacement}, its first witness)
+WITNESS_CASES = {
+    "census-count": (lambda: verify._census_record(3, 2), {"kostant_count": _plus(1)},
+                     "n=2 gamma=0: 1 != 2"),
+    "census-duplicates": (
+        lambda: verify._census_record(3, 2),
+        {"enumerate_fixed_points": lambda original: lambda *args: original(*args) * 2,
+         "kostant_count": lambda original: lambda *args: 2 * original(*args)},
+        "n=2 gamma=0: duplicates"),
+    "dimension": (lambda: verify._dimension_record(3, 2), {"pairing": _plus(1)},
+                  "n=2 gamma=0"),
+    "shift-defect-distinct": (
+        lambda: verify._shift_defect_record(3),
+        {"shift_defect": lambda original: lambda d, d_prime, m, n: original(
+            d, d_prime, m, n).shift_x(sum(d.degree()))},
+        "n=2 m=1: 3 distinct defects"),
+    "shift-defect-baseline": (lambda: verify._shift_defect_record(3),
+                              {"shift_defect": _baseline_shifted},
+                              "n=2 m=1: defect differs from the zero-pair value"),
+    "twist": (lambda: verify._twist_ratio_record(3, SplitMix64(1)),
+              {"twist_constant": lambda original: lambda *args: 2 * original(*args)},
+              "n=2 m=1: 7 pairs off constant"),
+    "scaling-volume": (
+        lambda: verify._scaling_record(3, 3, SplitMix64(1)),
+        {"volume_coefficients": lambda original: lambda n, degree, pt: (
+            original(n, degree, pt) if pt.x == 1
+            else [2 * v for v in original(n, degree, pt)])},
+        "volume scaling off at 0,1, t=2"),
+    # every volume doubled: the ratios tend to 1/2, rendered as rational strings
+    "strong-coupling": (
+        lambda: verify._strong_coupling_record(3, SplitMix64(3)),
+        {"volume_coefficients": lambda original: lambda *args: [
+            2 * v for v in original(*args)]},
+        "gamma=0,1: ratios 136383247/272000000, 136000383000247/272000000000000"),
+    "surface-other-error": (lambda: verify._nongeneric_surface_record(3),
+                            {"chern_series_coefficients": _raising(ZeroDivisionError)},
+                            "raised ZeroDivisionError instead"),
+    "surface-no-error": (lambda: verify._nongeneric_surface_record(3),
+                         {"chern_series_coefficients": lambda original: lambda *args: []},
+                         "no error raised"),
+    "cartan": (lambda: verify._cartan_record(3, 3, SplitMix64(1)),
+               {"cartan_eigenvalue": _plus(1)}, "i=1 gamma=0,0"),
+    "matrix-units": (
+        _algebra(0),
+        {"indecomposable_matrix": lambda original: lambda i, l, n: (
+            original(i, l, n) + verify.Matrix.unit(i, i, n))},
+        "n=2 [i;l]=[1;1]"),
+    "unipotent": (_algebra(1), {"unipotent_product": _raising(AssertionError)},
+                  "n=2 descending product wrong"),
+    "root-pairs": (_algebra(1), {"positive_root_pairs_descending": lambda original: (
+        lambda n: original(n)[::-1])}, "n=3 E_12 E_23 != 0"),
+    "ascending": (_algebra(1), {"root_exponential_product": lambda original: (
+        lambda n, pairs: verify.all_ones_unitriangular(n))},
+                  "n=3 ascending order should break the identity"),
+    "hall": (_algebra(2), {"hall_count": _plus(1)},
+             "[2;1],[1;1] in [1;2] at q=2: 2 != 1"),
+    "structure-constants": (_algebra(3), {"check_product_identity": lambda original: (
+        lambda *args: {**original(*args), "holds": False})}, "[1;1] * [1;1]"),
+    "conjugator": (_algebra(4), {"conjugator_check": lambda original: (
+        lambda *args: {**original(*args), "passed": False})}, "n=2 t=['-1', '-9/2']"),
+}
+
+
+@pytest.mark.parametrize("record, patches, first", WITNESS_CASES.values(),
+                         ids=WITNESS_CASES.keys())
+def test_property_record_names_an_injected_fault(monkeypatch, record, patches, first):
+    """Each property record's witness lines, reached by breaking the callee
+    it checks: the record fails and names the fault."""
+    for name, patch in patches.items():
+        monkeypatch.setattr(verify, name, patch(getattr(verify, name)))
+    rec = record()
+    assert not rec["passed"]
+    assert rec["witnesses"][0] == first
