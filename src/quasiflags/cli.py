@@ -152,10 +152,11 @@ _ROWS = 1024  # flat dicts per encode call: bounds each piece of a long list
 
 def _emit(document: dict) -> None:
     """Write json.dumps(document, indent=2, sort_keys=True) + newline, byte for
-    byte, in pieces: one per flat container (every child a scalar) and one per
-    _ROWS rows of a list of flat dicts, each encoded by CPython's C encoder,
-    which an indent would turn off.  Its item separator carries the newline and
-    indent; the others are spliced in (an encoded string holds no newline)."""
+    byte, in pieces: one per flat container (every child a scalar, or an empty
+    list or dict, which the dump too writes as [] or {}) and one per _ROWS rows
+    of a list of flat dicts, each encoded by CPython's C encoder, which an
+    indent would turn off.  Its item separator carries the newline and indent;
+    the others are spliced in (an encoded string holds no newline)."""
     if sys.stdout is None:  # descriptor 1 was closed before start-up
         raise OSError("standard output is closed")
     write = sys.stdout.write
@@ -172,11 +173,12 @@ def _emit(document: dict) -> None:
         is_dict = isinstance(value, dict)
         if not (is_dict or isinstance(value, (list, tuple))) or not value:
             write(encoder(depth)(value))
-        elif _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        elif _SCALARS.issuperset(map(type, filter(None, value.values() if is_dict else value))):
             text = encoder(depth + 1)(value)
             write(text[0] + inner + text[1:-1] + pad + text[-1])
         elif (not is_dict and set(map(type, value)) == {dict} and all(value)
-              and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, value))))):
+              and _SCALARS.issuperset(map(type, filter(None, chain.from_iterable(
+                  map(dict.values, value)))))):
             inner2 = inner + "  "
             for start in range(0, len(value), _ROWS):
                 text = encoder(depth + 2)(value[start:start + _ROWS])[2:-2]

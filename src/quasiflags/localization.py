@@ -18,9 +18,10 @@ factors over flag steps, each step depending on two consecutive rows only;
 chern_series_coefficients and volume_coefficients sum those step factors
 along a row-transfer graph, with no fixed point enumerated and no tangent
 map built, and fall back to the kernel at the degrees a local pole of a
-step factor reaches.  A step is a few signed runs of k; over a run the
-weights form an arithmetic progression, so each run's factor is one product
-of a range, equal to the per-key _products, all on ints.
+step factor reaches.  A step is a few signed runs of k, which only the
+differences of its rows set, so the graph keeps each translation class of
+steps once; over a run the weights form an arithmetic progression, so each
+run's factor is one product of a range, equal to the per-key _products.
 """
 
 import math
@@ -170,41 +171,56 @@ def _transfer_table(n: int, max_degree: int):
     paths are the fixed points.
 
     Returns (gammas, tables, layers, runs): the degrees in degree_vectors
-    order; per distinct flag step (upper, lower), the indices in runs of
-    its runs (characters.step_intervals); per row after row 0 (states: the
-    D + 1 rows (e,)) its state count and transitions (source, step,
-    target), the last layer's targets the degree indices; distinct runs.
+    order; per translation class of flag steps (upper, lower), which share
+    their runs (characters.step_intervals reads only row differences), the
+    indices in runs of its runs; per row after row 0 (states: the D + 1 rows
+    (e,)) its state count and transitions (source, class, target), the last
+    layer's targets the degree indices; distinct runs.  Each layer walks
+    row_heads once per (row, room) of its sources.
 
-    Each step is checked once, here: a (0, 0) run over k = 0 (a zero
-    weight), or a total multiplicity other than U + (i+1)(U - L), U and L
-    the row sums and i the step index, raises InternalInconsistency.
-    Summed over the steps of a fixed point d that total is 2|d|."""
+    Each class is checked once, on its first step (neither check sees a
+    common shift of the rows): a (0, 0) run over k = 0 (a zero weight), or a
+    total multiplicity other than U + (i+1)(U - L), U and L the row sums and
+    i the step index, raises InternalInconsistency.  Summed over the steps of
+    a fixed point d that total is 2|d|."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    steps: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    steps, classes = {}, {}  # step -> class; its rows less upper[0] -> (class, first step)
+
+    def step_class(upper, lower):
+        if (step := steps.get((upper, lower))) is None:
+            key = tuple(map(upper[0].__rsub__, upper + lower))
+            step = steps[upper, lower] = classes.setdefault(key, (len(classes), upper, lower))[0]
+        return step
+
     states = [((e,), (e,)) for e in range(max_degree + 1)]
     layers = []
     for _ in range(n - 2):
         index: dict = {}
         moves = []
+        groups: dict = {}  # (row, room) -> [(source, sums), ...]
         for source, (sums, upper) in enumerate(states):
-            room = max_degree - sum(sums)
+            groups.setdefault((upper, max_degree - sum(sums)), []).append((source, sums))
+        for (upper, room), members in groups.items():
             for head in row_heads(upper, room):
                 for last in range(room - sum(head) + 1):
                     lower = head + (last,)
-                    target = index.setdefault((sums + (sum(lower),), lower), len(index))
-                    moves.append((source, steps.setdefault((upper, lower), len(steps)),
-                                  target))
+                    if (step := steps.get((upper, lower))) is None:
+                        step = step_class(upper, lower)
+                    total = sum(lower)
+                    for source, sums in members:
+                        target = index.setdefault((sums + (total,), lower), len(index))
+                        moves.append((source, step, target))
         layers.append((len(index), tuple(moves)))
         states = list(index)
     gammas = tuple(degree_vectors(n - 1, max_degree))
     position = {g: i for i, g in enumerate(gammas)}
     zero = (0,) * n
     layers.append((len(gammas), tuple(
-        (source, steps.setdefault((upper, zero), len(steps)), position[sums])
+        (source, step_class(upper, zero), position[sums])
         for source, (sums, upper) in enumerate(states))))
-    numbers, tables = {}, []  # each distinct run, numbered; per step its run numbers
-    for upper, lower in steps:
+    numbers, tables = {}, []  # each distinct run, numbered; per class its run numbers
+    for _, upper, lower in classes.values():
         runs = characters.step_intervals(upper, upper, lower)
         size = sum(mult * (hi - lo) for _, _, lo, hi, mult in runs)
         expected = sum(upper) + len(upper) * (sum(upper) - sum(lower))

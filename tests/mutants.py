@@ -33,6 +33,17 @@ MUTANTS = [
      "first = u[j] - u[j_prime] + (lo + 1) * scale",
      "first = u[j] - u[j_prime] + lo * scale",
      ["tests/test_localization.py::test_step_factors_equal_products_at_special_points"]),
+    # the class key shifts the upper row but not the lower one
+    ("localization.py",
+     "key = tuple(map(upper[0].__rsub__, upper + lower))",
+     "key = tuple(map(upper[0].__rsub__, upper)) + lower",
+     ["tests/test_localization.py::test_every_move_runs_as_its_own_flag_step",
+      "tests/test_localization.py::test_class_build_sums_as_the_per_step_build"]),
+    # the grouped loop pairs every member with the first member's row sums
+    ("localization.py",
+     "for source, sums in members:",
+     "for source, sums in [(source, members[0][1]) for source, _ in members]:",
+     ["tests/test_localization.py::test_every_move_runs_as_its_own_flag_step"]),
     # the fold forgets to rescale the degree-zero entry
     ("series.py",
      "        H[0] *= scale\n",

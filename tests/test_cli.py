@@ -84,6 +84,19 @@ def test_emit_writes_the_dumps_bytes(document):
     assert_emits_the_dumps_bytes(document)
 
 
+def test_emit_writes_rows_holding_empty_containers_in_one_piece():
+    """An empty list or dict is a leaf: a list of records whose witnesses are
+    [] (as in every passing properties record) takes the row path, one piece
+    for all rows, and an empty value closing a row splits no row."""
+    rows = [{"name": "a", "passed": True, "witnesses": []},
+            {"detail": {}, "name": "b", "witnesses": [], "z": {}},
+            {"name": "c", "witnesses": [], "z": []}]
+    document = {"records": rows, "verdict": "pass"}
+    assert_emits_the_dumps_bytes(document)
+    pieces = [piece for piece in emitted_writes(document) if '"name"' in piece]
+    assert len(pieces) == 1 and all(f'"{row["name"]}"' in pieces[0] for row in rows)
+
+
 _text = st.one_of(st.sampled_from(TRICKY), st.text(
     st.one_of(st.characters(), st.sampled_from("}{,\"\né\ud800")), max_size=6))
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _text)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from quasiflags.localization import (ParameterPoint, _products, _step_factors,
                                      volume_coefficient, volume_coefficients)
 from quasiflags.roots import kostant_count
 from quasiflags.series import degree_vectors, total_degree
-from quasiflags.tableaux import Tableau, enumerate_fixed_points
+from quasiflags.tableaux import Tableau, enumerate_fixed_points, row_heads
 from quasiflags.verify import twist_constant
 
 
@@ -373,6 +374,106 @@ def test_graph_runs_hold_both_zeros_at_a_point_with_l_above_one():
               for j, j_prime, lo, hi, _ in _transfer_table(n, max_degree)[3]
               for k in range(lo + 1, hi + 1)]
     assert scale == 3 and 0 in values and -shift in values
+
+
+# -- the per-step build, the oracle of the class build -------------------------
+
+@cache
+def per_step_build(n, max_degree):
+    """The row-transfer graph with one table per distinct flag step (upper,
+    lower), each source expanded on its own (the step checks left out), and
+    its steps in table order."""
+    steps = {}
+    states = [((e,), (e,)) for e in range(max_degree + 1)]
+    layers = []
+    for _ in range(n - 2):
+        index, moves = {}, []
+        for source, (sums, upper) in enumerate(states):
+            room = max_degree - sum(sums)
+            for head in row_heads(upper, room):
+                for last in range(room - sum(head) + 1):
+                    lower = head + (last,)
+                    target = index.setdefault((sums + (sum(lower),), lower), len(index))
+                    moves.append((source, steps.setdefault((upper, lower), len(steps)), target))
+        layers.append((len(index), tuple(moves)))
+        states = list(index)
+    gammas = tuple(degree_vectors(n - 1, max_degree))
+    position = {g: i for i, g in enumerate(gammas)}
+    zero = (0,) * n
+    layers.append((len(gammas), tuple(
+        (source, steps.setdefault((upper, zero), len(steps)), position[sums])
+        for source, (sums, upper) in enumerate(states))))
+    numbers, tables = {}, []
+    for upper, lower in steps:
+        runs = characters.step_intervals(upper, upper, lower)
+        tables.append(tuple(numbers.setdefault(run, len(numbers)) for run in runs))
+    return (gammas, tuple(tables), tuple(layers), tuple(numbers)), tuple(steps)
+
+
+def moves_by_source(moves):
+    out = {}
+    for source, step, target in moves:
+        out.setdefault(source, []).append((step, target))
+    return out
+
+
+def test_every_move_runs_as_its_own_flag_step():
+    """Matched with the per-step build source by source (a source's moves
+    come in row_heads order in both builds), every move of the class build
+    reaches the same state as its step, and its class runs are
+    step_intervals(upper, upper, lower) of that step.  Every graph with
+    n <= 5 and D <= 6, and with n = 8 and D <= 3."""
+    cases = [(n, d) for n in range(2, 6) for d in range(7)] + [(8, d) for d in range(4)]
+    for n, max_degree in cases:
+        gammas, tables, layers, runs = _transfer_table(n, max_degree)
+        (old_gammas, _, old_layers, _), steps = per_step_build(n, max_degree)
+        assert gammas == old_gammas and len(layers) == len(old_layers) == n - 1
+        states = {e: e for e in range(max_degree + 1)}  # class-build -> per-step state
+        for (count, moves), (old_count, old_moves) in zip(layers, old_layers):
+            assert count == old_count and len(moves) == len(old_moves)
+            old_out, targets = moves_by_source(old_moves), {}
+            for source, out in moves_by_source(moves).items():
+                assert len(out) == len(old_out[states[source]])
+                for (step, target), (old_step, old_target) in zip(out, old_out[states[source]]):
+                    upper, lower = steps[old_step]
+                    assert tuple(runs[i] for i in tables[step]) == characters.step_intervals(
+                        upper, upper, lower), (n, max_degree, upper, lower)
+                    assert targets.setdefault(target, old_target) == old_target
+            assert len(targets) == len(set(targets.values())) == count
+            states = targets
+        assert all(target == old for target, old in states.items())  # the degree indices
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(series_cases())
+def test_class_build_sums_as_the_per_step_build(case):
+    """chern_series_coefficients and volume_coefficients over the class
+    build equal both over the per-step build, or both raise alike."""
+    def both():
+        return [raised_or_value(fn, *case) for fn in (chern_series_coefficients,
+                                                     volume_coefficients)]
+
+    expected = both()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localization, "_transfer_table", lambda n, d: per_step_build(n, d)[0])
+        assert both() == expected
+
+
+def test_cold_build_expands_each_step_class_once(monkeypatch):
+    """A cold build at n = 3, D = 24 calls characters.step_intervals once per
+    translation class of its steps: 638 times for 1,716 distinct steps."""
+    calls = []
+    original = characters.step_intervals
+    localization._transfer_table.cache_clear()
+    monkeypatch.setattr(characters, "step_intervals",
+                        lambda *rows: calls.append(rows) or original(*rows))
+    try:
+        tables = _transfer_table(3, 24)[1]
+    finally:
+        monkeypatch.undo()
+        localization._transfer_table.cache_clear()
+    assert len(calls) == len(tables) == 638
+    assert len(per_step_build(3, 24)[1]) == 1716
 
 
 @pytest.mark.parametrize("fault, message", [

@@ -521,18 +521,6 @@ def test_verify_runs_label_from_the_built_lattice(monkeypatch):
                 verify.format_gamma(g) for g in degree_vectors(2, 4)]
 
 
-def _baseline_shifted(original):
-    """shift_defect with each ninth call, the zero-pair baseline after a
-    record's eight sample pairs, shifted by x."""
-    calls = []
-
-    def patched(d, d_prime, m, n):
-        calls.append(m)
-        defect = original(d, d_prime, m, n)
-        return defect.shift_x(1) if len(calls) % 9 == 0 else defect
-    return patched
-
-
 def _plus(extra):
     return lambda original: lambda *args: original(*args) + extra
 
@@ -563,9 +551,6 @@ WITNESS_CASES = {
         {"shift_defect": lambda original: lambda d, d_prime, m, n: original(
             d, d_prime, m, n).shift_x(sum(d.degree()))},
         "n=2 m=1: 3 distinct defects"),
-    "shift-defect-baseline": (lambda: verify._shift_defect_record(3),
-                              {"shift_defect": _baseline_shifted},
-                              "n=2 m=1: defect differs from the zero-pair value"),
     "twist": (lambda: verify._twist_ratio_record(3, SplitMix64(1)),
               {"twist_constant": lambda original: lambda *args: 2 * original(*args)},
               "n=2 m=1: 7 pairs off constant"),
