@@ -248,12 +248,9 @@ def pair_count_rows(tableaux, columns, n: int):
     rows = [d.rows + (zero,) for d in tableaux]
     heads = [list(map(itemgetter(1), layer)) for layer in layers]  # each prefix's last row
     # per layer: (d_i, d_{i+1}) of a tableau -> each distinct source row -> the step's runs
-    steps = [{pair: dict.fromkeys(sources) for pair in {(r[i], r[i + 1]) for r in rows}}
+    steps = [{pair: {s: step_intervals(s, *pair) for s in dict.fromkeys(sources)}
+              for pair in {(r[i], r[i + 1]) for r in rows}}
              for i, sources in enumerate(heads)]
-    for block in steps:
-        for pair, by_source in block.items():
-            for sources in by_source:
-                by_source[sources] = step_intervals(sources, *pair)
     window = max((e for t in (*tableaux, *columns) for row in t.rows for e in row), default=0)
     bound = sum(max((abs(mult) for by_source in block.values()
                      for runs in by_source.values() for *_, mult in runs), default=0)

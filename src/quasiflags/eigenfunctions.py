@@ -21,8 +21,11 @@ Opdam, Root systems and hypergeometric functions I, Compositio Math. 64,
     b_lam ((lam, lam) - s) = -2k sum_{alpha > 0} sum_{j >= 1} ((alpha, lam + j alpha) - k ht alpha) b_{lam + j alpha}
 
 with b_{lam0} = 1; series.weyl_fold folds b back to c.  apply_cs_operator
-applies the CS operator itself, sharing no code with that recursion, so its
-image of c against s c checks the recursion and the fold together.
+applies the CS operator itself, on its own walk, so its image of c against
+s c checks the recursion and the fold together.  It shares the root lattice
+and the integer gaps (_integer_gaps) with the recursion, which receives the
+same gaps from check_nonresonant, so the gaps have their own oracle:
+test_integer_gaps_match_the_embedding_formula and its row in tests/mutants.py.
 
 All walks run on the cached series.root_lattice of (n, D).  Each gap
 (lam, lam) - s is an integer over the lcm of the denominators of lam0, so

@@ -56,11 +56,6 @@ class QuiverRepClass:
     def indecomposable(cls, i: int, l: int) -> "QuiverRepClass":
         return cls({(i, l): 1})
 
-    def check_valid(self, n: int):
-        for (i, l) in self.mults:
-            if not (1 <= i <= n - 1 and 1 <= l <= n - i):
-                raise ValueError(f"[{i}; {l}] is not a representation of the A_{n - 1} quiver")
-
     def dimension_vector(self, n: int) -> tuple[int, ...]:
         dims = [0] * (n - 1)
         for (i, l), k in self.mults.items():
@@ -104,7 +99,6 @@ def class_matrix(kappa: QuiverRepClass, n: int) -> Matrix:
     ascending i then ascending l.  (The abstract product order matters in the
     enveloping algebra; this fixed convention is validated against the
     brute-force structure constants.)"""
-    kappa.check_valid(n)
     result = Matrix.identity(n)
     for (i, l), k in kappa.items():
         power = Matrix.identity(n)

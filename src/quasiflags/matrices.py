@@ -58,12 +58,12 @@ class Matrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def _match(self, size: int, what: str) -> None:
+    def _match(self, size: int) -> None:
         if size != self.size:
-            raise ValueError(f"size mismatch: {self.size}x{self.size} matrix and {what} {size}")
+            raise ValueError(f"size mismatch: {self.size}x{self.size} matrix and matrix of size {size}")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._match(other.size, "matrix of size")
+        self._match(other.size)
         return Matrix([[a + b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.rows, other.rows)])
 
@@ -71,7 +71,7 @@ class Matrix:
         return self + other.scale(-1)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        self._match(other.size, "matrix of size")
+        self._match(other.size)
         product = []
         for row in self.rows:
             acc = [0] * len(row)
@@ -84,11 +84,6 @@ class Matrix:
     def scale(self, factor) -> "Matrix":
         factor = _exact(factor)
         return Matrix([[factor * e for e in row] for row in self.rows])
-
-    def apply(self, vector) -> list[Fraction]:
-        vector = [Fraction(v) for v in vector]
-        self._match(len(vector), "vector of length")
-        return [sum(a * v for a, v in zip(row, vector)) for row in self.rows]
 
     def commutator(self, other: "Matrix") -> "Matrix":
         return self * other - other * self

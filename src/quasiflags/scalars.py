@@ -9,6 +9,7 @@ its own running product so that the two share no code.
 """
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
@@ -27,8 +28,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render an exact scalar as "p" or "p/q" with q > 0."""
-    return str(value if isinstance(value, Fraction) else Fraction(value))
+    """Render an exact scalar as "p" or "p/q" with q > 0, of any size.
+
+    str raises ValueError past CPython's int-to-str digit limit; Decimal holds
+    an int exactly and renders it without that limit."""
+    value = value if isinstance(value, Fraction) else Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        num, den = (str(Decimal(part)) for part in (value.numerator, value.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def generalized_binomial(m, k: int) -> Fraction:

@@ -93,7 +93,7 @@ def _run_trials(command, n, max_degree, trials, seed, explicit_point, coupling,
         lhs = fixed_point_side(n, max_degree, pt)
         rhs = analytic_side(checked, pt)
         comparisons, first_mismatch = [], None
-        for label, left, right in zip(labels, lhs, rhs):
+        for label, left, right in zip(labels, lhs, rhs, strict=True):
             text = format_rational(left)
             row = {"gamma": label, "lhs": text, "rhs": text, "equal": left == right}
             if not row["equal"]:
@@ -321,7 +321,7 @@ def _coupling_zero_record(n, max_degree, rng) -> dict:
     def attempt(pt):
         values = chern_series_coefficients(n, max_degree, pt)
         return [f"gamma={format_gamma(gamma)}: {value}"
-                for gamma, value in zip(degree_vectors(n - 1, max_degree), values)
+                for gamma, value in zip(degree_vectors(n - 1, max_degree), values, strict=True)
                 if value != kostant_count(gamma, n)]
 
     _, _, witnesses = _first_generic(rng, n, lambda rng: 0, attempt)
@@ -335,13 +335,14 @@ def _scaling_record(n, max_degree, rng) -> dict:
 
     def series(pt):  # (Chern, volume) coefficient pairs at 0 < |gamma| <= bound
         return zip(chern_series_coefficients(n, bound, pt)[1:],
-                   volume_coefficients(n, bound, pt)[1:])
+                   volume_coefficients(n, bound, pt)[1:], strict=True)
 
     def attempt(pt):
         base = list(series(pt))
         found = []
         for t in (Fraction(2), Fraction(-3), Fraction(5, 7)):
-            for gamma, (chern, vol), (chern_t, vol_t) in zip(gammas, base, series(pt.scaled(t))):
+            scaled = series(pt.scaled(t))
+            for gamma, (chern, vol), (chern_t, vol_t) in zip(gammas, base, scaled, strict=True):
                 if chern_t != chern:
                     found.append(f"chern not scale-invariant at {format_gamma(gamma)}, t={t}")
                 if vol_t != vol * t ** (-2 * total_degree(gamma)):

@@ -65,6 +65,32 @@ MUTANTS = [
      '", ".join(map(format_rational, ratios))',
      "str(ratios)",
      ["tests/test_verify.py::test_property_record_names_an_injected_fault[strong-coupling]"]),
+    # the CS tail is folded back at -m - 1, not -m - 2
+    ("eigenfunctions.py",
+     "*_product_pairs(checked, m), -m - 2))",
+     "*_product_pairs(checked, m), -m - 1))",
+     ["tests/test_eigenfunctions.py::test_operator_fixes_eigen_series"]),
+    # the rank table counts a copy that ends at b, not only one past it
+    ("hall.py",
+     "if i <= a and b < i + l)",
+     "if i <= a and b <= i + l)",
+     ["tests/test_hall.py::test_hall_counts_match_the_pinned_sweep"]),
+    # the count layout's fields lose the sign bit
+    ("characters.py",
+     "window, bound.bit_length() + 1",
+     "window, bound.bit_length()",
+     ["tests/test_characters.py::"
+      "test_count_layout_round_trips_the_bound_at_the_first_and_last_fields"]),
+    # a merge cross-multiplies the numerators but keeps the old denominator
+    ("localization.py",
+     "            dens[target] *= bottom\n",
+     "",
+     ["tests/test_localization.py::test_row_transfer_matches_kernel"]),
+    # the layer's gcd divides the denominators but not the numerators
+    ("localization.py",
+     "tops = [a // g for a, g in zip(nums, divisors)]",
+     "tops = nums",
+     ["tests/test_localization.py::test_row_transfer_matches_kernel"]),
 ]
 
 

@@ -137,17 +137,34 @@ def test_explicit_point_flags(capsys):
     assert report["parameters"]["trials"] == len(report["trials"]) == 1
 
 
-def test_verify_main_finishes_when_n_outgrows_the_draw_range():
-    """102 distinct integers do not fit in [-50, 50]; the sampler widens its
-    range with n, so the run ends (in a child, so a hang is a timeout)."""
+def run_child(*argv):
+    """The quasiflags command in a child process, on this checkout's package."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-m", "quasiflags", "verify-main", "--n", "102",
-                          "--max-degree", "1", "--trials", "1"],
-                         capture_output=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "quasiflags", *argv],
+                          capture_output=True, env=env, timeout=60)
+
+
+def test_verify_main_finishes_when_n_outgrows_the_draw_range():
+    """102 distinct integers do not fit in [-50, 50]; the sampler widens its
+    range with n, so the run ends (in a child, so a hang is a timeout)."""
+    run = run_child("verify-main", "--n", "102", "--max-degree", "1", "--trials", "1")
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["verdict"] == "pass"
+
+
+def test_reports_render_values_past_the_int_str_digit_limit(capsys):
+    """Rank-two volume and Toda coefficients pass 4,300 digits near D = 850;
+    the child runs under the interpreter's default limit."""
+    run = run_child("verify-toda", "--n", "2", "--max-degree", "850", "--trials", "1",
+                    "--seed", "1")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["verdict"] == "pass"
+    code, out, err = run_cli(capsys, "inspect", "series", "--kind", "toda", "--n", "2",
+                             "--a", "1/3,-1/3", "--max-degree", "900")
+    assert (code, err) == (0, "")
+    assert max(len(c["value"]) for c in json.loads(out)["coefficients"]) > 4300
 
 
 def test_exit_code_nongeneric(capsys):
@@ -271,6 +288,11 @@ def test_inspect_series_denominator(capsys):
     ["verify-main", "--n", "3", "--a", "1,-1", "--m", "1"],
     ["verify-main", "--n", "2", "--a", "1,x", "--m", "1"],
     ["verify-toda", "--n", "2", "--a", "1,-1", "--x", "abc"],
+    # parsing keeps the interpreter's default limit of 4,300 digits (reports do not)
+    pytest.param(["inspect", "series", "--kind", "cs", "--n", "2", "--a", "1/3,-1/3",
+                  "--m", "1" * 4301, "--max-degree", "2"],
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no int-to-str digit limit before 3.10.7")),
 ])
 def test_usage_errors_exit_3_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:

@@ -52,6 +52,12 @@ def test_class_matrix_examples():
     assert class_matrix(QuiverRepClass({(1, 1): 2}), 3).is_zero()
 
 
+def test_class_matrix_rejects_a_label_outside_the_quiver():
+    # n = 3 is the A_2 quiver, which has no vertex 3
+    with pytest.raises(ValueError, match=r"\[3; 1\]"):
+        class_matrix(QuiverRepClass.indecomposable(3, 1), 3)
+
+
 def test_hall_consistency_identity():
     lhs = E(3, 2, 3) * E(2, 1, 3)
     rhs = (class_matrix(QuiverRepClass({(1, 1): 1, (2, 1): 1}), 3)

@@ -83,10 +83,9 @@ def test_row_sparse_products_match_fraction_triple_loop():
     lambda: Matrix.identity(2) + Matrix.identity(3),
     lambda: Matrix.identity(3) - Matrix.identity(2),
     lambda: Matrix.identity(2) * Matrix.identity(3),
-    lambda: Matrix.identity(3).apply([1, 2]),
-], ids=["add", "sub", "mul", "apply"])
+], ids=["add", "sub", "mul"])
 def test_size_mismatch_raises_naming_both_sizes(operation):
     with pytest.raises(ValueError, match=r"size mismatch: \d+x\d+ matrix and "
-                                         r"(matrix of size|vector of length) \d+") as exc:
+                                         r"matrix of size \d+") as exc:
         operation()
     assert "2" in str(exc.value) and "3" in str(exc.value)

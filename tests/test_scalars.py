@@ -36,6 +36,11 @@ def test_format_roundtrip():
     assert [format_rational(v) for v in (7, -3, 0.5)] == ["7", "-3", "1/2"]
 
 
+def test_format_renders_parts_past_the_int_str_digit_limit():
+    assert format_rational(Fraction((10**5000 - 1) // 9 * 7, 3)) == "7" * 5000 + "/3"
+    assert format_rational(-10**5000) == "-1" + "0" * 5000
+
+
 def test_binomial_integer_cases():
     assert generalized_binomial(2, 2) == 6          # C(4, 2)
     assert generalized_binomial(Fraction(99, 7), 0) == 1

@@ -41,6 +41,20 @@ def test_verify_main_explicit_nongeneric_point_exhausts():
         verify_main(2, 4, trials=1, seed=0, explicit_point=pt)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: verify_main(3, 3, 1, 1),
+    lambda: verify._coupling_zero_record(3, 3, SplitMix64(1)),
+    lambda: verify._scaling_record(3, 3, SplitMix64(1)),
+], ids=["verify-main", "coupling-zero", "scaling"])
+def test_a_short_coefficient_list_fails_the_run(monkeypatch, run):
+    """Each row pairs one degree with one coefficient: a Chern list one
+    coefficient short raises instead of passing on fewer rows."""
+    original = verify.chern_series_coefficients
+    monkeypatch.setattr(verify, "chern_series_coefficients", lambda *args: original(*args)[:-1])
+    with pytest.raises(ValueError, match="zip"):
+        run()
+
+
 def test_nongeneric_point_skips_the_eigenfunction_product(monkeypatch):
     """A point that kills a fixed-point denominator is dropped before the
     analytic side runs: a = 0 is not resonant, but every a_j - a_j' vanishes."""
