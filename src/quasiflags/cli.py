@@ -28,7 +28,7 @@ from .errors import NonGenericParameter
 from .localization import ParameterPoint, evaluate_weight
 from .characters import pair_character, tangent_weights
 from .scalars import format_rational, parse_rational
-from .series import denominator_power_series
+from .series import check_degree_vector, denominator_power_series
 from .tableaux import Tableau, enumerate_fixed_points
 from .verify import (GenericityExhausted, format_gamma, run_properties,
                      verify_main, verify_toda)
@@ -102,6 +102,16 @@ def _point(args) -> ParameterPoint:
     return ParameterPoint(a, Fraction(1) if args.x is None else args.x, args.m or 0)
 
 
+def _checked(parser, parse, *args):
+    """parse(*args), or a usage error on its ValueError.  Each input is
+    checked this way before anything is computed, so a ValueError from the
+    computation is not taken for bad input."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _explicit_point(args, parser, need_m: bool) -> ParameterPoint | None:
     if args.a is None:
         for flag, value in (("--m", args.m), ("--x", args.x)):
@@ -110,10 +120,7 @@ def _explicit_point(args, parser, need_m: bool) -> ParameterPoint | None:
         return None
     if need_m and args.m is None:
         parser.error("verify-main with an explicit point also needs --m")
-    try:
-        return _point(args)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _checked(parser, _point, args)
 
 
 def build_parser() -> _Parser:
@@ -200,28 +207,29 @@ def _inspect(args, parser) -> dict:
     if args.subject == "fixed-points":
         if args.gamma is None:
             parser.error("inspect fixed-points needs --gamma")
-        points = enumerate_fixed_points(n, args.gamma)
-        return {"subject": "fixed-points", "n": n, "gamma": format_gamma(args.gamma),
+        gamma = _checked(parser, check_degree_vector, args.gamma, n - 1)
+        points = enumerate_fixed_points(n, gamma)
+        return {"subject": "fixed-points", "n": n, "gamma": format_gamma(gamma),
                 "count": len(points), "tableaux": [p.as_flat_list() for p in points]}
 
     if args.subject == "tangent-weights":
         if args.tableau is None:
             parser.error("inspect tangent-weights needs --tableau")
-        d = Tableau.from_flat_list(args.tableau, n)
+        d = _checked(parser, Tableau.from_flat_list, args.tableau, n)
+        pt = None if args.a is None else _checked(parser, _point, args)
         weights = tangent_weights(d, n)
         record = {"subject": "tangent-weights", "n": n, "tableau": d.as_flat_list(),
                   "weights": [{"a_coeffs": list(w.a_coeffs), "x_coeff": w.x_coeff}
                               for w in weights]}
-        if args.a is not None:
-            pt = _point(args)
+        if pt is not None:
             record["values"] = [format_rational(evaluate_weight(w, pt)) for w in weights]
         return record
 
     if args.subject == "character":
         if args.tableau is None or args.tableau2 is None:
             parser.error("inspect character needs --tableau and --tableau2")
-        d = Tableau.from_flat_list(args.tableau, n)
-        dp = Tableau.from_flat_list(args.tableau2, n)
+        d, dp = (_checked(parser, Tableau.from_flat_list, t, n)
+                 for t in (args.tableau, args.tableau2))
         char = pair_character(d, dp, n)
         return {"subject": "character", "n": n,
                 "tableau": d.as_flat_list(), "tableau2": dp.as_flat_list(),
@@ -235,7 +243,7 @@ def _inspect(args, parser) -> dict:
     else:
         if args.a is None:
             parser.error("inspect series needs --a")
-        pt = _point(args)
+        pt = _checked(parser, _point, args)
         if args.kind == "cs":
             series = cs_coefficients(n, pt.a_over_x(), pt.m, args.max_degree).tail
         elif args.kind == "toda":
@@ -262,10 +270,7 @@ def main(argv=None) -> int:
     # run functions are looked up at call time, so a wrapper patched in here runs
     try:
         if args.command == "inspect":
-            try:
-                document = _inspect(args, parser)
-            except ValueError as exc:  # a malformed --gamma, --tableau or --a
-                parser.error(str(exc))
+            document = _inspect(args, parser)
         elif args.command == "properties":
             document = run_properties(args.n, args.max_degree, args.seed)
         else:

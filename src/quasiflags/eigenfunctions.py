@@ -30,7 +30,9 @@ test_integer_gaps_match_the_embedding_formula and its row in tests/mutants.py.
 All walks run on the cached series.root_lattice of (n, D).  Each gap
 (lam, lam) - s is an integer over the lcm of the denominators of lam0, so
 resonance is decided once, before any recursion starts.  The recursions keep
-int numerator and denominator lists, with one Fraction per coefficient.
+int numerator and denominator lists, each pair reduced with a positive
+denominator (cs_product_pairs, toda_tail_pairs), which the verify runs compare
+as they are; the *_coefficients lists make one Fraction per coefficient.
 """
 
 from fractions import Fraction
@@ -106,14 +108,15 @@ def cs_coefficients(n: int, a_over_x, m, degree: int) -> EigenSeries:
     -m - 2.  Raises ResonantParameter on a non-generic base point."""
     m = Fraction(m)
     checked = check_nonresonant(n, a_over_x, degree)
-    return _eigen_series(checked, weyl_fold(checked[1], *_product_pairs(checked, m), -m - 2))
+    return _eigen_series(checked, weyl_fold(checked[1], *cs_product_pairs(checked, m), -m - 2))
 
 
-def toda_tail_coefficients(checked, x=Fraction(1)) -> list[Fraction]:
+def toda_tail_pairs(checked, x=Fraction(1)) -> tuple[list[int], list[int]]:
     """Toda eigenfunction tail on a check_nonresonant result, in
-    degree_vectors order: c = coupling sum_i c_{lam + alpha_i} / ((lam, lam) - s)
-    over the simple roots, with coupling 2/x^2 (2 in the default gauge x = 1),
-    on int pairs, each reduced by one gcd."""
+    degree_vectors order, as reduced int lists (cn, cd) with cd > 0:
+    c = coupling sum_i c_{lam + alpha_i} / ((lam, lam) - s) over the simple
+    roots, with coupling 2/x^2 (2 in the default gauge x = 1), each pair
+    reduced by one gcd, negated where the gap's sign would leave cd < 0."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
@@ -128,9 +131,14 @@ def toda_tail_coefficients(checked, x=Fraction(1)) -> list[Fraction]:
             if (p := prev[i]) >= 0:
                 num, den = num * cd[p] + cn[p] * den, den * cd[p]
         num, den = top * num, bottom * den * gaps[i]
-        g = gcd(num, den)
+        g = -gcd(num, den) if den < 0 else gcd(num, den)
         cn[i], cd[i] = num // g, den // g
-    return list(map(Fraction, cn, cd))
+    return cn, cd
+
+
+def toda_tail_coefficients(checked, x=Fraction(1)) -> list[Fraction]:
+    """toda_tail_pairs as Fractions."""
+    return list(map(Fraction, *toda_tail_pairs(checked, x)))
 
 
 def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeries:
@@ -141,13 +149,14 @@ def toda_coefficients(n: int, a_over_x, degree: int, x=Fraction(1)) -> EigenSeri
     return _eigen_series(checked, toda_tail_coefficients(checked, x))
 
 
-def _product_pairs(checked, m) -> tuple[list[int], list[int]]:
+def cs_product_pairs(checked, m) -> tuple[list[int], list[int]]:
     """The conjugated recursion on a check_nonresonant result, as the
-    reduced int lists (bn, bd) of cs_product_coefficients (a denominator may
-    be negative).  With k = m + 1 = top / bottom, the step from lam to
-    lam + alpha weighs w / (L bottom) = (alpha, lam) - k ht alpha and keeps
-    the prefix P[s] = w b[source] + P[below] of its root's chain, reduced by
-    one gcd where there is a step below."""
+    reduced int lists (bn, bd), bd > 0, of cs_product_coefficients.  With
+    k = m + 1 = top / bottom, the step from lam to lam + alpha weighs
+    w / (L bottom) = (alpha, lam) - k ht alpha and keeps the prefix
+    P[s] = w b[source] + P[below] of its root's chain, reduced by one gcd
+    where there is a step below; each coefficient is reduced by one gcd,
+    negated where the gap's sign would leave bd < 0."""
     lam0, lattice, scale, gaps = checked
     start, source, below, root, pairing = lattice.steps
     k = Fraction(m) + 1
@@ -168,7 +177,7 @@ def _product_pairs(checked, m) -> tuple[list[int], list[int]]:
             pn[s], pd[s] = x, y
             num, den = num * y + x * den, den * y
         num, den = -2 * top * num, bottom * bottom * gaps[i] * den
-        g = gcd(num, den)
+        g = -gcd(num, den) if den < 0 else gcd(num, den)
         bn[i], bd[i] = num // g, den // g
     return bn, bd
 
@@ -176,8 +185,8 @@ def _product_pairs(checked, m) -> tuple[list[int], list[int]]:
 def cs_product_coefficients(checked, m) -> list[Fraction]:
     """The eigenfunction side of the Chern-series identity on a
     check_nonresonant result, in degree_vectors order: the CS tail times
-    prod_{alpha > 0} (1 - e^{-alpha})^{-m-1}, from the conjugated recursion."""
-    return list(map(Fraction, *_product_pairs(checked, m)))
+    prod_{alpha > 0} (1 - e^{-alpha})^{-m-1}: cs_product_pairs as Fractions."""
+    return list(map(Fraction, *cs_product_pairs(checked, m)))
 
 
 def cs_product_series(n: int, a_over_x, m, degree: int) -> Series:

@@ -15,10 +15,12 @@ public single coefficients (chern_series_coefficient, volume_coefficient)
 and the row-transfer fallback.  Every series the package compares needs
 each coefficient with |gamma| <= D at once, and there the tangent character
 factors over flag steps, each step depending on two consecutive rows only;
-chern_series_coefficients and volume_coefficients sum those step factors
-along a row-transfer graph, with no fixed point enumerated and no tangent
-map built, and fall back to the kernel at the degrees a local pole of a
-step factor reaches.  A step is a few signed runs of k, which only the
+chern_series_pairs and volume_pairs sum those step factors along a
+row-transfer graph, with no fixed point enumerated and no tangent map built,
+into reduced int pairs (the verify runs compare them as they are, and
+chern_series_coefficients and volume_coefficients turn them into Fractions),
+and fall back to the kernel at the degrees a local pole of a step factor
+reaches.  A step is a few signed runs of k, which only the
 differences of its rows set, so the graph keeps each translation class of
 steps once; over a run the weights form an arithmetic progression, so each
 run's factor is one product of a range, equal to the per-key _products.
@@ -252,20 +254,24 @@ def _step_factors(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> l
             for step in tables]
 
 
-def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> list[Fraction]:
+def _row_transfer(n: int, max_degree: int, pt: ParameterPoint,
+                  chern: bool) -> tuple[list[int], list[int]]:
     """Every Chern (chern) or volume coefficient with |gamma| <= D, in
-    degree_vectors order, as path sums over _transfer_table of _step_factors.
-    A state sums its sources on unreduced int pairs, with one gcd when its
-    layer is done; each degree then makes one Fraction.
+    degree_vectors order, as path sums over _transfer_table of _step_factors:
+    the int lists (nums, dens), each pair reduced with dens > 0.  A state
+    sums its sources on unreduced int pairs, with one gcd, signed to make
+    its denominator positive, when its layer is done, so a Chern degree is
+    its last state; a volume degree takes one more gcd after its scale.
 
     A step factor whose denominator vanishes poisons every degree reached
     through it (its bottom, a product, stays 0), and each poisoned degree
     falls back, in degree order, to the per-point kernel at that degree
-    alone.  That is exact: a tangent weight of positive multiplicity sits
-    with positive multiplicity in some step's denominator, so where no step
-    denominator vanishes no tangent weight does, and a vanishing step
-    numerator is a genuine zero.  Every non-generic degree is thus poisoned,
-    and the kernel raises there with its own NonGenericParameter."""
+    alone, whose Fraction gives the pair.  That is exact: a tangent weight of
+    positive multiplicity sits with positive multiplicity in some step's
+    denominator, so where no step denominator vanishes no tangent weight
+    does, and a vanishing step numerator is a genuine zero, (0, 1).  Every
+    non-generic degree is thus poisoned, and the kernel raises there with
+    its own NonGenericParameter."""
     gammas, _, layers, _ = _transfer_table(n, max_degree)
     factors = _step_factors(n, max_degree, pt, chern)
     tops = bottoms = [1] * (max_degree + 1)
@@ -276,25 +282,45 @@ def _row_transfer(n: int, max_degree: int, pt: ParameterPoint, chern: bool) -> l
             top, bottom = tops[source] * top, bottoms[source] * bottom
             nums[target] = nums[target] * bottom + top * dens[target]
             dens[target] *= bottom
-        divisors = [math.gcd(a, b) or 1 for a, b in zip(nums, dens)]  # a poisoned 0/0 stays
+        # one gcd per state, negated where its denominator is negative; a poisoned 0/0 stays
+        divisors = [-math.gcd(a, b) if b < 0 else math.gcd(a, b) or 1 for a, b in zip(nums, dens)]
         tops = [a // g for a, g in zip(nums, divisors)]
         bottoms = [b // g for b, g in zip(dens, divisors)]
     # a volume degree scales by (L/x)^(2|gamma|) = (p/q)^(2|gamma|)
     ratio = Fraction(1) if chern else pt.integer_scaling[1] / pt.x
     p, q = ratio.numerator, ratio.denominator
     kernel = chern_series_coefficient if chern else volume_coefficient
-    return [Fraction(top * p ** (2 * sum(g)), bottom * q ** (2 * sum(g))) if bottom
-            else kernel(n, g, pt) for g, top, bottom in zip(gammas, tops, bottoms)]
+    for i, (g, top, bottom) in enumerate(zip(gammas, tops, bottoms)):
+        if not bottom:
+            value = kernel(n, g, pt)
+            tops[i], bottoms[i] = value.numerator, value.denominator
+        elif not chern:
+            top, bottom = top * p ** (2 * sum(g)), bottom * q ** (2 * sum(g))
+            divisor = math.gcd(top, bottom)
+            tops[i], bottoms[i] = top // divisor, bottom // divisor
+    return tops, bottoms
+
+
+def chern_series_pairs(n: int, max_degree: int, pt: ParameterPoint) -> tuple[list[int], list[int]]:
+    """chern_series_coefficients as reduced int pairs (nums, dens), dens > 0,
+    by one row-transfer pass (see _row_transfer)."""
+    return _row_transfer(n, max_degree, pt, chern=True)
+
+
+def volume_pairs(n: int, max_degree: int, pt: ParameterPoint) -> tuple[list[int], list[int]]:
+    """volume_coefficients as reduced int pairs (nums, dens), dens > 0, by one
+    row-transfer pass: the step factors have an empty numerator, and each
+    degree is scaled by (L/x)^(2|gamma|)."""
+    return _row_transfer(n, max_degree, pt, chern=False)
 
 
 def chern_series_coefficients(n: int, max_degree: int, pt: ParameterPoint) -> list[Fraction]:
     """chern_series_coefficient at every gamma of degree_vectors(n - 1,
-    max_degree), in that order, by one row-transfer pass (see _row_transfer)."""
-    return _row_transfer(n, max_degree, pt, chern=True)
+    max_degree), in that order: chern_series_pairs as Fractions."""
+    return list(map(Fraction, *chern_series_pairs(n, max_degree, pt)))
 
 
 def volume_coefficients(n: int, max_degree: int, pt: ParameterPoint) -> list[Fraction]:
     """volume_coefficient at every gamma of degree_vectors(n - 1, max_degree),
-    in that order, by one row-transfer pass: the step factors have an empty
-    numerator, and each degree is scaled by (L/x)^(2|gamma|)."""
-    return _row_transfer(n, max_degree, pt, chern=False)
+    in that order: volume_pairs as Fractions."""
+    return list(map(Fraction, *volume_pairs(n, max_degree, pt)))

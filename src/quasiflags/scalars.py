@@ -2,7 +2,10 @@
 
 All arithmetic in the package is exact: scalars are `fractions.Fraction`
 values (always in lowest terms, positive denominator), and nothing is ever
-rounded.  This module adds the two pieces the standard library does not
+rounded.  The verify runs compare and render their coefficients as reduced
+int pairs (num, den) with den > 0, which are equal exactly when their
+Fractions are; format_pair renders one, and format_rational a Fraction by
+its pair.  This module adds the two pieces the standard library does not
 provide: a strict parser for rational literals and the generalized binomial
 coefficient, public and the tests' oracle for series.weyl_fold, which keeps
 its own running product so that the two share no code.
@@ -27,17 +30,22 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(value: Fraction) -> str:
-    """Render an exact scalar as "p" or "p/q" with q > 0, of any size.
+def format_pair(num: int, den: int) -> str:
+    """Render the reduced pair num / den, den > 0, as "p" or "p/q", of any size.
 
     str is about three times as fast but raises ValueError past CPython's
     int-to-str digit limit; Decimal renders an int exactly, past it too."""
-    value = value if isinstance(value, Fraction) else Fraction(value)
     try:
-        return str(value)
+        parts = str(num), str(den)
     except ValueError:
-        num, den = (str(Decimal(part)) for part in (value.numerator, value.denominator))
-        return num if den == "1" else f"{num}/{den}"
+        parts = str(Decimal(num)), str(Decimal(den))
+    return parts[0] if den == 1 else "/".join(parts)
+
+
+def format_rational(value: Fraction) -> str:
+    """Render an exact scalar as "p" or "p/q" with q > 0 (see format_pair)."""
+    value = value if isinstance(value, Fraction) else Fraction(value)
+    return format_pair(value.numerator, value.denominator)
 
 
 def generalized_binomial(m, k: int) -> Fraction:

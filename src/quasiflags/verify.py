@@ -4,6 +4,9 @@ Each run samples exact rational parameter points from a seeded splitmix64
 stream, evaluates both sides of an identity coefficient by coefficient (one
 protocol, _run_trials, serves verify-main and verify-toda, which adds only
 its strong-coupling diagnostics), and assembles a machine-readable report.
+Both sides come as reduced int pairs (nums, dens) with dens > 0, so a row is
+equal exactly when its two pairs are, and no Fraction is built per
+coefficient outside the kernel's fallback degrees.
 Reports contain only mathematical data (no timestamps, no worker counts), are
 assembled in a fixed order, and render all scalars as exact rational strings,
 so a run is replayable and byte-reproducible from its seed and flags alone.
@@ -12,7 +15,9 @@ Both sides of an identity exist only at generic points: every sampled point
 of the verify runs and of the five sampled property records comes from
 _first_generic, which redraws a non-generic point at most RETRY_BUDGET times.
 Every localization series, in the runs and the records alike, is read from
-the row-transfer lists (chern_series_coefficients, volume_coefficients).
+the row-transfer lists (chern_series_pairs and volume_pairs in the runs, their
+Fraction lists chern_series_coefficients and volume_coefficients in the
+records).
 """
 
 from fractions import Fraction
@@ -20,18 +25,19 @@ from fractions import Fraction
 from .characters import pair_count_rows, pair_counts, shift_defect, weight_table
 from .errors import InternalInconsistency, NonGenericParameter
 from .eigenfunctions import (apply_cs_operator, check_nonresonant, cs_coefficients,
-                             cs_product_coefficients, toda_tail_coefficients)
+                             cs_product_pairs, toda_tail_pairs)
 from .hall import (QuiverRepClass, all_ones_unitriangular, check_product_identity,
                    conjugator_check, hall_count, indecomposable_matrix,
                    root_exponential_product, unipotent_product)
 from .localization import (ParameterPoint, chern_matrix_element, chern_series_coefficients,
-                           volume_coefficients, weight_ratio)
+                           chern_series_pairs, volume_coefficients, volume_pairs,
+                           weight_ratio)
 from .matrices import Matrix
 from .roots import (embed_degree, kostant_count, pairing,
                     positive_root_pairs_descending, rho, rho_vee)
 from .sampling import (SplitMix64, sample_coupling, sample_distinct_nonzero,
                        sample_zero_sum_integers)
-from .scalars import format_rational
+from .scalars import format_pair, format_rational
 from .series import degree_vectors, root_lattice, total_degree
 from .tableaux import Tableau, cartan_eigenvalue, enumerate_fixed_points
 
@@ -82,8 +88,11 @@ def _run_trials(command, n, max_degree, trials, seed, explicit_point, coupling,
     attempt checks resonance through max_degree, then compares
     fixed_point_side(n, max_degree, pt) with analytic_side(checked, pt) row
     by row, then, if given, adds diagnostics(n, max_degree, pt, rhs, labels)
-    as the limit diagnostics.  The gamma labels are rendered once per run,
-    from the lattice check_nonresonant caches, and an equal pair once."""
+    as the limit diagnostics.  Each side is a pair of int lists (nums, dens)
+    in degree_vectors order, every pair reduced with dens > 0, so a row is
+    equal exactly when both its ints are.  The gamma labels are rendered once
+    per run, from the lattice check_nonresonant caches, and an equal row's
+    value once."""
     labels = [format_gamma(g) for g in root_lattice(n, max_degree).vectors]
 
     def compute(pt: ParameterPoint) -> dict:
@@ -93,11 +102,11 @@ def _run_trials(command, n, max_degree, trials, seed, explicit_point, coupling,
         lhs = fixed_point_side(n, max_degree, pt)
         rhs = analytic_side(checked, pt)
         comparisons, first_mismatch = [], None
-        for label, left, right in zip(labels, lhs, rhs, strict=True):
-            text = format_rational(left)
-            row = {"gamma": label, "lhs": text, "rhs": text, "equal": left == right}
+        for label, a, b, c, d in zip(labels, *lhs, *rhs, strict=True):
+            text = format_pair(a, b)
+            row = {"gamma": label, "lhs": text, "rhs": text, "equal": a == c and b == d}
             if not row["equal"]:
-                row["rhs"] = format_rational(right)
+                row["rhs"] = format_pair(c, d)
                 first_mismatch = first_mismatch or label
             comparisons.append(row)
         result = {"comparisons": comparisons, "all_equal": first_mismatch is None,
@@ -131,8 +140,8 @@ def verify_main(n: int, max_degree: int, trials: int, seed: int,
     coefficient by coefficient, at sampled (or given) parameter points.
     `jobs` is accepted and ignored, kept for compatibility."""
     return _run_trials("verify-main", n, max_degree, trials, seed, explicit_point,
-                       sample_coupling, chern_series_coefficients,
-                       lambda checked, pt: cs_product_coefficients(checked, pt.m))
+                       sample_coupling, chern_series_pairs,
+                       lambda checked, pt: cs_product_pairs(checked, pt.m))
 
 
 TODA_DIAGNOSTIC_COUPLINGS = (100, 10_000, 1_000_000)
@@ -141,7 +150,7 @@ TODA_DIAGNOSTIC_COUPLINGS = (100, 10_000, 1_000_000)
 def _toda_diagnostics(n, max_degree, pt, rhs, labels) -> list[dict]:
     """Strong-coupling diagnostics at the degrees 1..min(max_degree, 2),
     which come right after degree 0 in (total, lex) order, so their targets
-    and labels are read by position."""
+    (from the pairs rhs) and labels are read by position."""
     a_over_x = pt.a_over_x()
     # the error only shrinks monotonically once m dominates the spread of
     # a/x, so the couplings are scaled by (1 + max a/x - min a/x)^2
@@ -157,7 +166,7 @@ def _toda_diagnostics(n, max_degree, pt, rhs, labels) -> list[dict]:
         ratios = [t.coefficient(gamma) / m ** (2 * size) for t, m in zip(tails, couplings)]
         # the coupling 2/x^2 enters the gamma coefficient |gamma| times,
         # so the x = 1 target is the x-gauge one times x^(2|gamma|)
-        target = rhs[i] * pt.x ** (2 * size)
+        target = Fraction(rhs[0][i], rhs[1][i]) * pt.x ** (2 * size)
         errors = [abs(r - target) for r in ratios]
         diagnostics.append({
             "gamma": labels[i],
@@ -175,8 +184,8 @@ def verify_toda(n: int, max_degree: int, trials: int, seed: int,
     check that the rescaled strong-coupling coefficients converge to it.
     `jobs` is accepted and ignored, kept for compatibility."""
     return _run_trials("verify-toda", n, max_degree, trials, seed, explicit_point,
-                       lambda rng: 0, volume_coefficients,
-                       lambda checked, pt: toda_tail_coefficients(checked, pt.x),
+                       lambda rng: 0, volume_pairs,
+                       lambda checked, pt: toda_tail_pairs(checked, pt.x),
                        _toda_diagnostics)
 
 

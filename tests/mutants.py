@@ -67,8 +67,8 @@ MUTANTS = [
      ["tests/test_verify.py::test_property_record_names_an_injected_fault[strong-coupling]"]),
     # the CS tail is folded back at -m - 1, not -m - 2
     ("eigenfunctions.py",
-     "*_product_pairs(checked, m), -m - 2))",
-     "*_product_pairs(checked, m), -m - 1))",
+     "*cs_product_pairs(checked, m), -m - 2))",
+     "*cs_product_pairs(checked, m), -m - 1))",
      ["tests/test_eigenfunctions.py::test_operator_fixes_eigen_series"]),
     # the rank table counts a copy that ends at b, not only one past it
     ("hall.py",
@@ -91,6 +91,22 @@ MUTANTS = [
      "tops = [a // g for a, g in zip(nums, divisors)]",
      "tops = nums",
      ["tests/test_localization.py::test_row_transfer_matches_kernel"]),
+    # a merge adds the incoming numerator without cross-multiplying the sum so far
+    ("localization.py",
+     "nums[target] = nums[target] * bottom + top * dens[target]",
+     "nums[target] = nums[target] + top * dens[target]",
+     ["tests/test_localization.py::test_pairs_match_the_kernel"]),
+    # the product's pairs keep the sign of the gap in their denominators
+    ("eigenfunctions.py",
+     "        g = -gcd(num, den) if den < 0 else gcd(num, den)\n        bn[i], bd[i]",
+     "        g = gcd(num, den)\n        bn[i], bd[i]",
+     ["tests/test_eigenfunctions.py::test_product_and_toda_pairs_match_the_dict_references",
+      "tests/test_verify.py::test_verify_main_passes_small_scales"]),
+    # rows are compared on their numerators only
+    ("verify.py",
+     '"equal": a == c and b == d',
+     '"equal": a == c',
+     ["tests/test_verify.py::test_a_row_differing_only_in_its_denominator_fails"]),
 ]
 
 

@@ -302,3 +302,17 @@ def test_usage_errors_exit_3_with_one_line(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.splitlines()[-1].startswith("error: ")
+
+
+def test_a_value_error_while_computing_is_no_usage_error(monkeypatch, capsys):
+    """Only the inputs (--gamma, --tableau, --tableau2, --a) are read as usage
+    errors, before anything is computed: a ValueError from the computation
+    itself propagates, and nothing is written."""
+    def broken(*args):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(cli, "cs_coefficients", broken)
+    with pytest.raises(ValueError, match="^injected$"):
+        cli.main(["inspect", "series", "--kind", "cs", "--n", "2", "--a", "7/3,-7/3",
+                  "--m", "3/2"])
+    assert capsys.readouterr() == ("", "")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from quasiflags import eigenfunctions
 from quasiflags.eigenfunctions import (EigenSeries, apply_cs_operator, check_nonresonant,
                                        cs_coefficients, cs_product_coefficients,
-                                       cs_product_series,
+                                       cs_product_pairs, cs_product_series,
                                        toda_coefficients, toda_limit_ratios,
-                                       toda_tail_coefficients)
+                                       toda_tail_coefficients, toda_tail_pairs)
 from quasiflags.errors import ResonantParameter
 from quasiflags.localization import ParameterPoint, volume_coefficient
 from quasiflags.roots import embed_degree, inner, kostant_count
@@ -139,7 +140,7 @@ def test_resonance_at_top_degree_is_decided_before_the_recursion(monkeypatch):
     assert cs_coefficients(2, a, m, 1).coefficient((1,)) == -m * (m + 1)
     assert toda_coefficients(2, a, 1).coefficient((1,)) == -1
     walks = []
-    monkeypatch.setattr(eigenfunctions, "_product_pairs", lambda *args: walks.append(args))
+    monkeypatch.setattr(eigenfunctions, "cs_product_pairs", lambda *args: walks.append(args))
     message = "(lam, lam) = s at gamma=(2,); highest weight is not generic"
     for compute in (lambda: cs_coefficients(2, a, m, 2),
                     lambda: cs_product_series(2, a, m, 3),
@@ -262,6 +263,26 @@ def reference_gauge_product(n, lam0, m, degree):
             weighted = chain_sum(coeffs, gamma, sup)
             acc += 2 * k * (lam[a] - lam[b] - k * (b - a)) * plain + 4 * k * weighted
         coeffs[gamma] = -acc / gap
+    return Series(n - 1, degree, coeffs)
+
+
+def reference_toda_tail(n, lam0, x, degree):
+    """The dict-and-tuple Toda recursion: c_gamma ((lam, lam) - s) =
+    (2 / x^2) sum_i c_{gamma - alpha_i}, over the simple roots alpha_i that
+    keep gamma - alpha_i in the cone."""
+    s = inner(lam0, lam0)
+    coeffs = {}
+    for gamma in degree_vectors(n - 1, degree):
+        if sum(gamma) == 0:
+            coeffs[gamma] = Fraction(1)
+            continue
+        lam = shifted(lam0, gamma)
+        gap = inner(lam, lam) - s
+        if gap == 0:
+            raise resonant(gamma)
+        below = (tuple(g - (t == i) for t, g in enumerate(gamma)) for i in range(n - 1))
+        acc = sum((coeffs.get(b, 0) for b in below), Fraction(0))
+        coeffs[gamma] = 2 / (x * x) * acc / gap
     return Series(n - 1, degree, coeffs)
 
 
@@ -421,3 +442,40 @@ def test_conjugated_recursion_at_negative_gaps(n, a, degree, m):
     assert product == tail_and_fold(checked, m)
     if m == -1:  # k = m + 1 = 0 kills every step weight
         assert product == [1] + [0] * (len(product) - 1)
+
+
+def as_pairs(series, lattice):
+    """A Series' coefficients on lattice.vectors as (numerators, denominators)."""
+    c = [series.coefficient(g) for g in lattice.vectors]
+    return [v.numerator for v in c], [v.denominator for v in c]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(analytic_cases(), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+       .filter(lambda v: v not in (0, 1)))
+@example((3, NEG3, Fraction(-1), 5), Fraction(2))
+@example((3, NEG3, Fraction(5, 2), 5), Fraction(-1, 3))
+@example((4, NEG4, Fraction(0), 4), Fraction(3, 2))
+@example((4, NEG4, Fraction(-7, 3), 4), Fraction(-2))
+def test_product_and_toda_pairs_match_the_dict_references(case, x):
+    """cs_product_pairs and toda_tail_pairs hold the (numerator, denominator)
+    of the dict references at each degree, so every pair is reduced with a
+    positive denominator, at negative gaps too; or all raise alike."""
+    n, a, m, degree = case
+    lattice = root_lattice(n, degree)
+
+    def reference_product():
+        tail = reference_cs_tail(n, a, m, degree)
+        return as_pairs(sparse_product(tail, reference_weyl_series(n, m, degree), degree),
+                        lattice)
+
+    assert_same_outcome(reference_product,
+                        lambda: cs_product_pairs(check_nonresonant(n, a, degree), m))
+    assert_same_outcome(lambda: as_pairs(reference_toda_tail(n, a, x, degree), lattice),
+                        lambda: toda_tail_pairs(check_nonresonant(n, a, degree), x))
+    try:
+        checked = check_nonresonant(n, a, degree)
+    except ResonantParameter:
+        return
+    for nums, dens in (cs_product_pairs(checked, m), toda_tail_pairs(checked, x)):
+        assert all(den > 0 and gcd(num, den) == 1 for num, den in zip(nums, dens))

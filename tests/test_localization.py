@@ -1,8 +1,9 @@
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasiflags import characters, localization
 from quasiflags.characters import TorusWeight, pair_character, pair_weight, tangent_weights
@@ -11,8 +12,9 @@ from quasiflags.localization import (ParameterPoint, _products, _step_factors,
                                      _transfer_table,
                                      chern_matrix_element, chern_ratio,
                                      chern_series_coefficient,
-                                     chern_series_coefficients, evaluate_weight,
-                                     volume_coefficient, volume_coefficients)
+                                     chern_series_coefficients, chern_series_pairs,
+                                     evaluate_weight, volume_coefficient,
+                                     volume_coefficients, volume_pairs)
 from quasiflags.roots import kostant_count
 from quasiflags.series import degree_vectors, total_degree
 from quasiflags.tableaux import Tableau, enumerate_fixed_points, row_heads
@@ -335,6 +337,66 @@ def test_row_transfer_raises_as_the_kernel_does(n, max_degree, pt):
     with pytest.raises(NonGenericParameter):
         chern_series_coefficients(n, max_degree, pt)
     assert_row_transfer_matches_kernel(n, max_degree, pt)
+
+
+def assert_pairs_match_kernel(n, max_degree, pt):
+    """chern_series_pairs and volume_pairs hold, at each degree, the
+    (numerator, denominator) of the per-degree kernel, so every pair is
+    reduced with a positive denominator; or both sides raise alike."""
+    gammas = list(degree_vectors(n - 1, max_degree))
+    for pairs, kernel in ((chern_series_pairs, chern_series_coefficient),
+                          (volume_pairs, volume_coefficient)):
+        expected = raised_or_value(lambda: [(c.numerator, c.denominator)
+                                            for c in (kernel(n, g, pt) for g in gammas)])
+        got = raised_or_value(lambda: list(zip(*pairs(n, max_degree, pt), strict=True)))
+        assert got == expected
+        if type(got) is list:
+            assert all(den > 0 and gcd(num, den) == 1 for num, den in got)
+
+
+@st.composite
+def pair_cases(draw):
+    """As series_cases, at points whose a/x have denominators (so L > 1 unless
+    q divides every numerator) and whose x is not 1."""
+    n = draw(st.integers(2, 5))
+    max_degree = draw(st.integers(0, {2: 8, 3: 6, 4: 4, 5: 3}[n]))
+    q = draw(st.integers(2, 6))
+    u = [Fraction(draw(st.integers(-30, 30)), q) for _ in range(n - 1)]
+    u.append(-sum(u))
+    x = draw(st.fractions(min_value=-4, max_value=4, max_denominator=5)
+             .filter(lambda v: v not in (0, 1)))
+    m = draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    return n, max_degree, ParameterPoint(tuple(c * x for c in u), x, m)
+
+
+# the first trial point of verify-main --n 8 --max-degree 5 --trials 3 --seed 3002,
+# whose trials hand 239 degrees to the kernel
+FALLBACK_N8 = _point((-149, -141, -5, 171, 419, -293, -109, 107), -8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pair_cases())
+# the degrees (0, 2), (2, 0), (0, 3) and (3, 0) are 0 here: each must be (0, 1)
+@example((3, 3, _point((-4, 1, 3), -2)))
+@example((4, 5, LOCAL_POLES[0][1]))
+@example((4, 6, LOCAL_POLES[1][1]))
+@example((8, 5, FALLBACK_N8))
+def test_pairs_match_the_kernel(case):
+    assert_pairs_match_kernel(*case)
+
+
+def test_pair_cases_reach_zeros_and_fallbacks(monkeypatch):
+    """The fixed examples above reach what they are there for: zero
+    coefficients as (0, 1), and degrees filled by the kernel."""
+    nums, dens = chern_series_pairs(3, 3, _point((-4, 1, 3), -2))
+    assert [(a, b) for a, b in zip(nums, dens) if not a] == [(0, 1)] * 4
+    calls = []
+    kernel = localization.chern_series_coefficient
+    monkeypatch.setattr(localization, "chern_series_coefficient",
+                        lambda *args: calls.append(args) or kernel(*args))
+    chern_series_pairs(8, 5, FALLBACK_N8)
+    chern_series_pairs(4, 5, LOCAL_POLES[0][1])
+    assert len(calls) > 100
 
 
 def assert_step_factors_equal_products(n, max_degree, pt):

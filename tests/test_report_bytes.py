@@ -45,6 +45,19 @@ GOLDEN = [
     # per-point kernel
     ("verify-main --n 8 --max-degree 5 --trials 3 --seed 3002",
      "2efad6619bc031cd9aa86ba796f7d21c02450bd1c314b0cdf20ebea5037bc46c"),
+    # the benchmark's main-deep and main-wide commands at two more of their seeds
+    ("verify-main --n 3 --max-degree 24 --trials 3 --seed 1001",
+     "f114276b91ce6e7d85e33e9c7df5c370778a6c1bea7f7973004656abc8895693"),
+    ("verify-main --n 3 --max-degree 24 --trials 3 --seed 2001",
+     "cd9812c563bc295485bcc01b50af08404e4354ab95350d0c80b173c2d353a650"),
+    ("verify-main --n 8 --max-degree 5 --trials 3 --jobs 2 --seed 1001",
+     "466abfc77cedd416bcb69ee6bacb8c5231e6c6f6d36a94316f3c6da15eab9881"),
+    ("verify-main --n 8 --max-degree 5 --trials 3 --jobs 2 --seed 2001",
+     "05c3b75dc717b911e917e649e9ed2d82adfcebe94516503eace08a602ca85e30"),
+    # the benchmark's main-deep size: the trials hand 3 degrees to the
+    # per-point kernel
+    ("verify-main --n 3 --max-degree 24 --trials 3 --seed 4",
+     "05ce3e5bc41a614a02a9f975808076d5976f0752487e9bb8295ac6718b6f0150"),
     ("verify-toda --n 4 --max-degree 6 --trials 2 --seed 11",
      "5bb75761c06648be807f7c48278717afa77f9751e37fffd3a58f48506d8eaa8d"),
     # one non-generic point resampled

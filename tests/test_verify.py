@@ -41,16 +41,20 @@ def test_verify_main_explicit_nongeneric_point_exhausts():
         verify_main(2, 4, trials=1, seed=0, explicit_point=pt)
 
 
-@pytest.mark.parametrize("run", [
-    lambda: verify_main(3, 3, 1, 1),
-    lambda: verify._coupling_zero_record(3, 3, SplitMix64(1)),
-    lambda: verify._scaling_record(3, 3, SplitMix64(1)),
+@pytest.mark.parametrize("run, patched, drop_last", [
+    (lambda: verify_main(3, 3, 1, 1), "chern_series_pairs",
+     lambda pairs: tuple(side[:-1] for side in pairs)),
+    (lambda: verify._coupling_zero_record(3, 3, SplitMix64(1)), "chern_series_coefficients",
+     lambda values: values[:-1]),
+    (lambda: verify._scaling_record(3, 3, SplitMix64(1)), "chern_series_coefficients",
+     lambda values: values[:-1]),
 ], ids=["verify-main", "coupling-zero", "scaling"])
-def test_a_short_coefficient_list_fails_the_run(monkeypatch, run):
-    """Each row pairs one degree with one coefficient: a Chern list one
-    coefficient short raises instead of passing on fewer rows."""
-    original = verify.chern_series_coefficients
-    monkeypatch.setattr(verify, "chern_series_coefficients", lambda *args: original(*args)[:-1])
+def test_a_short_coefficient_list_fails_the_run(monkeypatch, run, patched, drop_last):
+    """Each row pairs one degree with one coefficient: a Chern list (in the
+    verify runs, a pair of int lists) one coefficient short raises instead
+    of passing on fewer rows."""
+    original = getattr(verify, patched)
+    monkeypatch.setattr(verify, patched, lambda *args: drop_last(original(*args)))
     with pytest.raises(ValueError, match="zip"):
         run()
 
@@ -61,7 +65,7 @@ def test_nongeneric_point_skips_the_eigenfunction_product(monkeypatch):
     def forbidden(*args):
         raise AssertionError("eigenfunction product computed at a non-generic point")
 
-    monkeypatch.setattr(verify, "cs_product_coefficients", forbidden)
+    monkeypatch.setattr(verify, "cs_product_pairs", forbidden)
     pt = ParameterPoint((Fraction(0),) * 3, Fraction(1), Fraction(1))
     with pytest.raises(GenericityExhausted):
         verify_main(3, 2, trials=1, seed=0, explicit_point=pt)
@@ -91,8 +95,8 @@ def test_resonance_is_checked_once_per_attempt(monkeypatch, run):
 
 
 @pytest.mark.parametrize("run, fixed_point_side", [
-    (verify_main, "chern_series_coefficients"),
-    (verify_toda, "volume_coefficients"),
+    (verify_main, "chern_series_pairs"),
+    (verify_toda, "volume_pairs"),
 ])
 def test_resonance_is_decided_before_the_fixed_point_side(monkeypatch, run, fixed_point_side):
     """(lam, lam) = s at gamma = (2,) for a = (1, -1)."""
@@ -218,14 +222,14 @@ def test_eigen_record_reaches_the_product_kernel(monkeypatch):
     """The CS tail is the conjugated recursion's product folded back, so a
     product kernel off by one at its top coefficient fails the eigen record
     at each n."""
-    kernel = eigenfunctions._product_pairs
+    kernel = eigenfunctions.cs_product_pairs
 
     def off_by_one(checked, m):
         bn, bd = kernel(checked, m)
         bn[-1] += bd[-1]
         return bn, bd
 
-    monkeypatch.setattr(eigenfunctions, "_product_pairs", off_by_one)
+    monkeypatch.setattr(eigenfunctions, "cs_product_pairs", off_by_one)
     record = verify._eigen_record(4, 5, SplitMix64(3))
     assert not record["passed"]
     assert record["witnesses"] == [f"n={n}: operator image differs from s * series"
@@ -255,9 +259,9 @@ def _fails_once(original):
      ["a", "a"]),
     ("cs_coefficients", lambda: verify._eigen_record(2, 2, SplitMix64(2)),
      ["a", "m", "a", "m"]),
-    ("chern_series_coefficients", lambda: verify_main(2, 2, trials=1, seed=2),
+    ("chern_series_pairs", lambda: verify_main(2, 2, trials=1, seed=2),
      ["a", "m", "a", "m"]),
-    ("volume_coefficients", lambda: verify_toda(2, 2, trials=1, seed=2),
+    ("volume_pairs", lambda: verify_toda(2, 2, trials=1, seed=2),
      ["a", "a"]),
 ])
 def test_nongeneric_attempt_redraws_the_whole_point(monkeypatch, patched, run, draws):
@@ -288,7 +292,7 @@ def test_nongeneric_attempt_redraws_the_whole_point(monkeypatch, patched, run, d
 
 # the twist record is the first property record that draws a point
 @pytest.mark.parametrize("patched, run", [
-    ("chern_series_coefficients", lambda: verify_main(2, 2, trials=1, seed=1)),
+    ("chern_series_pairs", lambda: verify_main(2, 2, trials=1, seed=1)),
     ("twist_constant", lambda: run_properties(3, 3, seed=1)),
 ])
 def test_genericity_is_exhausted_after_65_draws(monkeypatch, patched, run):
@@ -533,6 +537,50 @@ def test_verify_runs_label_from_the_built_lattice(monkeypatch):
         for trial in report["trials"]:
             assert [row["gamma"] for row in trial["comparisons"]] == [
                 verify.format_gamma(g) for g in degree_vectors(2, 4)]
+
+
+# the Fraction lists over the pair functions, by module
+FRACTION_LISTS = [(localization, "chern_series_coefficients"),
+                  (localization, "volume_coefficients"),
+                  (eigenfunctions, "cs_product_coefficients"),
+                  (eigenfunctions, "toda_tail_coefficients")]
+
+
+def test_verify_runs_build_no_fraction_lists(monkeypatch):
+    """Both sides are compared as int pairs: with the four Fraction lists
+    raising, verify-main and verify-toda still pass, at the local-pole
+    points of seeds 8 and 11 too, whose poisoned degrees the kernel fills."""
+    def forbidden(*args):
+        raise AssertionError("Fraction list built on the verify path")
+
+    for module, name in FRACTION_LISTS:
+        monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(verify, name, forbidden, raising=False)
+    assert verify_main(3, 6, trials=2, seed=1)["verdict"] == "pass"
+    assert verify_main(8, 3, trials=1, seed=8)["verdict"] == "pass"
+    assert verify_toda(4, 6, trials=2, seed=11)["verdict"] == "pass"
+
+
+def test_a_row_differing_only_in_its_denominator_fails(monkeypatch):
+    """A row is equal only when both ints of its pairs are: an rhs pair with
+    the lhs numerator over another denominator fails the run at its gamma,
+    and the rhs is rendered on its own."""
+    original = verify.cs_product_pairs
+
+    def skewed(checked, m):
+        nums, dens = original(checked, m)
+        dens[4] += 1
+        return nums, dens
+
+    monkeypatch.setattr(verify, "cs_product_pairs", skewed)
+    report = verify_main(3, 3, trials=1, seed=1)
+    trial = report["trials"][0]
+    row = trial["comparisons"][4]
+    assert report["verdict"] == "fail"
+    assert trial["first_mismatch"] == row["gamma"] == "1,1"
+    assert row == {"gamma": "1,1", "lhs": "23915744/592249", "rhs": "23915744/592250",
+                   "equal": False}
+    assert all(r["equal"] for r in trial["comparisons"] if r is not row)
 
 
 def _plus(extra):
